@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamcount/internal/core"
+	"streamcount/internal/rcache"
 )
 
 // An Engine is a long-lived query service over one or more replayable
@@ -85,39 +86,11 @@ func WithResultCacheTTL(d time.Duration) EngineOption {
 
 // ResultCacheStats is the engine-wide health of the cross-generation
 // result cache (DESIGN.md §13).
-type ResultCacheStats struct {
-	// Hits counts submissions served from a memoized result — no
-	// generation, no stream pass.
-	Hits int64
-	// Misses counts cache-consulting submissions that ran for real (and
-	// populated the cache on success).
-	Misses int64
-	// Evictions counts entries dropped by the capacity bound.
-	Evictions int64
-	// Expirations counts entries dropped by the TTL.
-	Expirations int64
-	// ResidentBytes is the accounted size of all memoized results.
-	ResidentBytes int64
-	// CapacityBytes is the configured bound; 0 when the cache is disabled.
-	CapacityBytes int64
-	// Entries is the number of resident memoized results.
-	Entries int
-}
+type ResultCacheStats = rcache.Stats
 
 // ResultCacheStats reports the result cache's aggregate counters (all
 // zeros when the cache is disabled).
-func (e *Engine) ResultCacheStats() ResultCacheStats {
-	s := e.eng.ResultCacheStats()
-	return ResultCacheStats{
-		Hits:          s.Hits,
-		Misses:        s.Misses,
-		Evictions:     s.Evictions,
-		Expirations:   s.Expirations,
-		ResidentBytes: s.ResidentBytes,
-		CapacityBytes: s.CapacityBytes,
-		Entries:       s.Entries,
-	}
-}
+func (e *Engine) ResultCacheStats() ResultCacheStats { return e.eng.ResultCacheStats() }
 
 // ContextWithPriority tags ctx with an admission priority lane: within one
 // admission window, higher-priority queries are served in an earlier
@@ -131,40 +104,10 @@ func ContextWithPriority(ctx context.Context, p int) context.Context {
 
 // WatchCheckpointStats is the engine-wide health of the watch checkpoint
 // cache (DESIGN.md §10).
-type WatchCheckpointStats struct {
-	// Hits counts watch evaluations served incrementally from a resident
-	// index — the O(Δ) fast path.
-	Hits int64
-	// Misses counts evaluations that first had to (re)build a stream's index
-	// from a full replay (cold cache or post-eviction).
-	Misses int64
-	// Evictions counts resident indexes dropped by the capacity bound.
-	Evictions int64
-	// Spills counts evicted (or deliberately flushed) indexes persisted to
-	// their stream's WATCHIDX file next to the segments, for warm rebuilds.
-	Spills int64
-	// SpillLoads counts misses warmed from a spilled index instead of a full
-	// replay.
-	SpillLoads int64
-	// ResidentBytes is the accounted size of all resident indexes.
-	ResidentBytes int64
-	// CapacityBytes is the configured bound; 0 when the cache is disabled.
-	CapacityBytes int64
-}
+type WatchCheckpointStats = core.WatchCheckpointStats
 
 // WatchCheckpointStats reports the checkpoint cache's aggregate counters.
-func (e *Engine) WatchCheckpointStats() WatchCheckpointStats {
-	s := e.eng.WatchCheckpointStats()
-	return WatchCheckpointStats{
-		Hits:          s.Hits,
-		Misses:        s.Misses,
-		Evictions:     s.Evictions,
-		Spills:        s.Spills,
-		SpillLoads:    s.SpillLoads,
-		ResidentBytes: s.ResidentBytes,
-		CapacityBytes: s.CapacityBytes,
-	}
-}
+func (e *Engine) WatchCheckpointStats() WatchCheckpointStats { return e.eng.WatchCheckpointStats() }
 
 // SpillWatchCheckpoint flushes the named stream's resident watch-checkpoint
 // index to the WATCHIDX file in its segment directory without evicting it.

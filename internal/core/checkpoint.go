@@ -247,22 +247,23 @@ func (c *watchCheckpoints) dropLocked(lane string, ent *checkpointEntry) {
 
 // WatchCheckpointStats is the cache's aggregate health snapshot.
 type WatchCheckpointStats struct {
-	// Hits counts fast-path evaluations served from a resident index.
+	// Hits counts watch evaluations served incrementally from a resident
+	// index — the O(Δ) fast path.
 	Hits int64
-	// Misses counts fast-path evaluations that had to (re)build the index
-	// from a full replay first — cold caches and post-eviction rebuilds.
+	// Misses counts evaluations that first had to (re)build a stream's index
+	// from a full replay (cold cache or post-eviction).
 	Misses int64
-	// Evictions counts entries dropped by the capacity bound.
+	// Evictions counts resident indexes dropped by the capacity bound.
 	Evictions int64
 	// Spills counts evicted (or deliberately flushed) indexes persisted to
-	// their lane's WATCHIDX file.
+	// their stream's WATCHIDX file next to the segments, for warm rebuilds.
 	Spills int64
-	// SpillLoads counts misses warmed from a spilled index instead of a
-	// full replay.
+	// SpillLoads counts misses warmed from a spilled index instead of a full
+	// replay.
 	SpillLoads int64
 	// ResidentBytes is the accounted size of all resident indexes.
 	ResidentBytes int64
-	// CapacityBytes is the configured bound (0 when the cache is disabled).
+	// CapacityBytes is the configured bound; 0 when the cache is disabled.
 	CapacityBytes int64
 }
 

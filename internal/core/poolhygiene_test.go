@@ -13,10 +13,9 @@ import (
 )
 
 // poolHygieneFingerprint runs a workload that touches every pool in the
-// pass engine — the FGP trial arena, the insertion and turnstile runner
-// pools (reservoir banks, ℓ0 freelists, watch arenas, batch buffers) and
-// the feed scratch pool — and folds every numeric output into one bit
-// vector. Each scenario runs twice back to back: the second run is served
+// pass engine — the FGP trial arena and the insertion and turnstile
+// runner pools (reservoir banks, ℓ0 freelists, watch arenas, batch
+// buffers) — and folds every numeric output into one bit vector. Each scenario runs twice back to back: the second run is served
 // from scratch the first run released, so under DebugDirty it consumes
 // buffers that were sentinel-smeared between rounds.
 func poolHygieneFingerprint(t *testing.T) (fp []uint64, labels []string) {

@@ -143,31 +143,4 @@ type PassRunner interface {
 	// EndRound completes the round and returns the answers, parallel to the
 	// queries registered by BeginRound.
 	EndRound() ([]Answer, error)
-	// SnapshotRound captures the complete per-query state of the in-flight
-	// round, positioned between two ConsumeBatch calls. The snapshot is
-	// immutable: further ConsumeBatch/EndRound calls on this runner must not
-	// affect it, and ResumeRound must not consume it (one snapshot can seed
-	// many resumptions). Taking a snapshot never changes the round's answers.
-	SnapshotRound() (RoundCheckpoint, error)
-	// ResumeRound restores a snapshot into this runner as its in-flight
-	// round state, replacing any BeginRound. fromVersion is the number of
-	// updates the caller is about to skip; it must equal the snapshot's
-	// CheckpointVersion — the contract is that ResumeRound + ConsumeBatch
-	// over the suffix [fromVersion, end) + EndRound is bit-identical to
-	// BeginRound + a full replay + EndRound on an identically-constructed
-	// runner.
-	ResumeRound(cp RoundCheckpoint, fromVersion int64) error
-}
-
-// RoundCheckpoint is an opaque snapshot of an in-flight round, produced by
-// SnapshotRound and accepted by ResumeRound of the same runner type. It is
-// position-stamped so schedulers can validate the suffix they feed next and
-// account cache residency.
-type RoundCheckpoint interface {
-	// CheckpointVersion is the number of stream updates the round had
-	// consumed when the snapshot was taken.
-	CheckpointVersion() int64
-	// CheckpointBytes approximates the snapshot's resident size in bytes,
-	// for bounded-cache accounting.
-	CheckpointBytes() int64
 }

@@ -62,13 +62,22 @@ func (f *Flight) Value() (any, error) { return f.val, f.err }
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	Expirations   int64
+	// Hits counts submissions served from a memoized result — no
+	// generation, no stream pass.
+	Hits int64
+	// Misses counts cache-consulting submissions that ran for real (and
+	// populated the cache on success).
+	Misses int64
+	// Evictions counts entries dropped by the capacity bound.
+	Evictions int64
+	// Expirations counts entries dropped by the TTL.
+	Expirations int64
+	// ResidentBytes is the accounted size of all memoized results.
 	ResidentBytes int64
+	// CapacityBytes is the configured bound; 0 when the cache is disabled.
 	CapacityBytes int64
-	Entries       int
+	// Entries is the number of resident memoized results.
+	Entries int
 }
 
 // Cache is the bounded result cache. A nil *Cache is a valid, always-miss,

@@ -838,48 +838,22 @@ func (v *View) ForEach(fn func(Update) error) error {
 	})
 }
 
-// ForEachBatch implements Stream: in-memory segments are served as zero-copy
-// subslices, evicted segments are decoded from their files into a reusable
-// buffer.
+// ForEachBatch implements Stream as the full-length suffix replay.
 func (v *View) ForEachBatch(fn func([]Update) error) error {
-	fsys := v.fs
-	if fsys == nil {
-		fsys = osFS{}
-	}
-	var buf []Update
-	for _, s := range v.segs {
-		if s.mem != nil {
-			for i := 0; i < len(s.mem); i += DefaultBatchSize {
-				j := min(i+DefaultBatchSize, len(s.mem))
-				if err := fn(s.mem[i:j]); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if buf == nil {
-			buf = make([]Update, 0, DefaultBatchSize)
-		}
-		if err := readSegment(fsys, s.path, s.count, &buf, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return v.ForEachBatchFrom(0, fn)
 }
 
 // ForEachBatchFrom replays only the suffix [lo, Len()) of the view, in the
-// same order and batch geometry a full replay would produce past lo.
-// In-memory segments are served as zero-copy subslices; evicted segments
-// seek past their skipped fixed-width records without decoding them. This
-// is the primitive behind incremental watch evaluation: a consumer that
-// already holds state for the prefix [0, lo) pays only O(Len()-lo) to
-// catch up (DESIGN.md §10).
+// same update order a full replay would produce past lo. Batch boundaries
+// may differ: in-memory batches restart at lo. In-memory segments are
+// served as zero-copy subslices; evicted segments are decoded from their
+// files into a reusable buffer, seeking past their skipped fixed-width
+// records without decoding them. This is the primitive behind incremental
+// watch evaluation: a consumer that already holds state for the prefix
+// [0, lo) pays only O(Len()-lo) to catch up (DESIGN.md §10).
 func (v *View) ForEachBatchFrom(lo int64, fn func([]Update) error) error {
 	if lo < 0 || lo > v.version {
 		return fmt.Errorf("stream: ForEachBatchFrom(%d): offset out of range [0,%d]", lo, v.version)
-	}
-	if lo == 0 {
-		return v.ForEachBatch(fn)
 	}
 	fsys := v.fs
 	if fsys == nil {

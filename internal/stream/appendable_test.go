@@ -123,6 +123,56 @@ func TestAppendableFileBackedSegments(t *testing.T) {
 	}
 }
 
+// TestViewForEachBatchFrom replays every interesting suffix of an
+// in-memory log and of a durable log whose sealed segments were evicted to
+// files, with segments both smaller and larger than DefaultBatchSize: the
+// concatenated batches must equal ups[lo:], and offsets outside [0, Len]
+// must fail.
+func TestViewForEachBatchFrom(t *testing.T) {
+	for _, segSize := range []int{16, DefaultBatchSize + 8} {
+		total := 2*segSize + segSize/2 + 1 // two sealed segments plus a partial tail
+		ups := mkUpdates(200, total, int64(segSize))
+		for _, durable := range []bool{false, true} {
+			opts := AppendableOptions{SegmentSize: segSize}
+			if durable {
+				opts.Dir = t.TempDir()
+			}
+			a, err := NewAppendable(200, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { a.Close() })
+			if _, err := a.Append(ups); err != nil {
+				t.Fatal(err)
+			}
+			v := a.Snapshot()
+			if evicted := v.segs[0].mem == nil; evicted != durable {
+				t.Fatalf("segSize=%d durable=%v: first segment evicted=%v", segSize, durable, evicted)
+			}
+			n := v.Len()
+			for _, lo := range []int64{0, 1, int64(segSize) - 1, int64(segSize), int64(segSize) + 1, n - 1, n} {
+				var got []Update
+				if err := v.ForEachBatchFrom(lo, func(batch []Update) error {
+					got = append(got, batch...)
+					return nil
+				}); err != nil {
+					t.Fatalf("segSize=%d durable=%v lo=%d: %v", segSize, durable, lo, err)
+				}
+				if want := ups[lo:]; !updatesEqual(got, want) {
+					t.Fatalf("segSize=%d durable=%v lo=%d: replayed %d updates, want ups[%d:] (%d)",
+						segSize, durable, lo, len(got), lo, len(want))
+				}
+			}
+			for _, lo := range []int64{-1, n + 1} {
+				if err := v.ForEachBatchFrom(lo, func([]Update) error { return nil }); err == nil {
+					t.Fatalf("segSize=%d durable=%v: ForEachBatchFrom(%d) accepted an offset outside [0,%d]",
+						segSize, durable, lo, n)
+				}
+			}
+		}
+	}
+}
+
 func TestAppendableValidation(t *testing.T) {
 	a, err := NewAppendable(10, AppendableOptions{})
 	if err != nil {

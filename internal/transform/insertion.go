@@ -196,8 +196,7 @@ func AcquireInsertionRunner(st stream.Stream, rng *rand.Rand) (*InsertionRunner,
 }
 
 // Release aborts any in-flight round and returns the runner to the pool.
-// The runner must not be used afterwards. Checkpoints taken from it remain
-// valid: SnapshotRound deep-copies every piece of state it captures.
+// The runner must not be used afterwards.
 func (r *InsertionRunner) Release() {
 	r.AbortRound()
 	r.st, r.rng = nil, nil
@@ -308,9 +307,7 @@ func (r *InsertionRunner) BeginRound(queries []oracle.Query) error {
 			// Each slot owns a private deterministic RNG: seeds are drawn
 			// sequentially here, in query order, so the accept sequence is
 			// independent of which worker sweeps the slot. A banked slot
-			// draws the identical accept sequence as NewReservoirSeeded,
-			// and SnapshotRound captures it as an ordinary cloneable
-			// reservoir.
+			// draws the identical accept sequence as NewReservoirSeeded.
 			r.bank.Seed(len(r.resQuery), r.rng.Uint64())
 			r.resQuery = append(r.resQuery, i)
 			r.space += 2

@@ -53,7 +53,6 @@ type TurnstileRunner struct {
 	curQueries   []oracle.Query
 	curP         int
 	curM         int64 // net edge count (insertions minus deletions)
-	curConsumed  int64 // updates consumed, the round's stream position
 	curBase      uint64
 	edgeSamplers []*sketch.L0Sampler // for RandomEdge queries
 	edgeSampIdx  []int
@@ -194,13 +193,12 @@ func AcquireTurnstileRunner(st stream.Stream, rng *rand.Rand) *TurnstileRunner {
 	r.rounds, r.queries, r.space = 0, 0, 0
 	r.inRound = false
 	r.curQueries = nil
-	r.curP, r.curM, r.curConsumed, r.curBase = 0, 0, 0, 0
+	r.curP, r.curM, r.curBase = 0, 0, 0
 	return r
 }
 
 // Release aborts any in-flight round and returns the runner to the pool.
-// The runner must not be used afterwards. Checkpoints taken from it remain
-// valid: SnapshotRound deep-copies every piece of state it captures.
+// The runner must not be used afterwards.
 func (r *TurnstileRunner) Release() {
 	r.AbortRound()
 	r.st, r.rng = nil, nil
@@ -311,7 +309,6 @@ func (r *TurnstileRunner) BeginRound(queries []oracle.Query) error {
 	r.inRound = true
 	r.curQueries = queries
 	r.curM = 0
-	r.curConsumed = 0
 	n := r.st.N()
 	p := par.Workers(r.paral)
 	r.curP = p
@@ -436,7 +433,6 @@ func (r *TurnstileRunner) ConsumeBatch(batch []stream.Update) error {
 		deltas = append(deltas, delta)
 	}
 	r.batchEdges, r.batchKeys, r.batchDelta = edges, keys, deltas
-	r.curConsumed += int64(len(batch))
 	if r.grp == nil {
 		r.shards[0].process(edges, keys, deltas)
 	} else {
