@@ -21,6 +21,7 @@ import (
 
 	"streamcount"
 	"streamcount/client"
+	"streamcount/internal/core"
 	"streamcount/internal/exact"
 	"streamcount/internal/experiments"
 	"streamcount/internal/fgp"
@@ -33,8 +34,6 @@ import (
 	"streamcount/internal/transform"
 	"streamcount/internal/wire"
 )
-
-//lint:file-ignore SA1019 the session benchmarks keep the deprecated one-shot path as the baseline the engine is measured against.
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
@@ -182,7 +181,7 @@ func BenchmarkFGPTurnstilePassSequential(b *testing.B) { benchFGPTurnstile(b, 1)
 // triangle-counting jobs over one 50k-update stream replayed from disk —
 // the regime the session engine exists for, where every pass is real I/O
 // and parsing. K sequential jobs cost 3K file replays; one session costs 3.
-func sessionBenchWorkload(b *testing.B) (streamcount.Stream, []streamcount.Config) {
+func sessionBenchWorkload(b *testing.B) (streamcount.Stream, []core.Job) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	g := gen.ErdosRenyiGNM(rng, 2000, 50000)
@@ -199,44 +198,64 @@ func sessionBenchWorkload(b *testing.B) (streamcount.Stream, []streamcount.Confi
 		b.Fatal(err)
 	}
 	const k = 8
-	cfgs := make([]streamcount.Config, k)
-	for i := range cfgs {
-		cfgs[i] = streamcount.Config{Pattern: p, Trials: 2000, Seed: int64(i + 1)}
+	jobs := make([]core.Job, k)
+	for i := range jobs {
+		jobs[i] = core.Job{Kind: core.JobEstimate, Config: core.Config{Pattern: p, Trials: 2000, Seed: int64(i + 1)}}
 	}
-	return st, cfgs
+	return st, jobs
+}
+
+// countQueries lowers the session workload's jobs to the equivalent typed
+// count queries.
+func countQueries(jobs []core.Job) []streamcount.TypedQuery[*streamcount.CountResult] {
+	qs := make([]streamcount.TypedQuery[*streamcount.CountResult], len(jobs))
+	for i, j := range jobs {
+		qs[i] = streamcount.CountQuery(j.Config.Pattern,
+			streamcount.WithTrials(j.Config.Trials), streamcount.WithSeed(j.Config.Seed))
+	}
+	return qs
+}
+
+// runSessionWave serves jobs through one single-shot core session — one
+// shared replay per round across all of them.
+func runSessionWave(b *testing.B, st streamcount.Stream, jobs []core.Job) {
+	b.Helper()
+	s := core.NewSession(st)
+	handles := make([]*core.JobHandle, len(jobs))
+	for j, job := range jobs {
+		handles[j] = s.Submit(job)
+	}
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	for _, h := range handles {
+		if _, err := h.Estimate(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSessionSharedReplay runs K jobs through one session: every round
 // k across the jobs is served by a single shared pass.
 func BenchmarkSessionSharedReplay(b *testing.B) {
-	st, cfgs := sessionBenchWorkload(b)
+	st, jobs := sessionBenchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := streamcount.NewSession(st)
-		handles := make([]*streamcount.JobHandle, len(cfgs))
-		for j, cfg := range cfgs {
-			handles[j] = s.Submit(streamcount.Job{Kind: streamcount.JobEstimate, Config: cfg})
-		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-		for _, h := range handles {
-			if _, err := h.Estimate(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		runSessionWave(b, st, jobs)
 	}
 }
 
 // BenchmarkSessionSequentialJobs is the baseline the shared replay is
-// measured against: the same K jobs as standalone calls, each replaying the
-// stream privately.
+// measured against: the same K jobs as standalone typed Runs, each
+// replaying the stream privately.
 func BenchmarkSessionSequentialJobs(b *testing.B) {
-	st, cfgs := sessionBenchWorkload(b)
+	st, jobs := sessionBenchWorkload(b)
+	queries := countQueries(jobs)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, cfg := range cfgs {
-			if _, err := streamcount.Estimate(st, cfg); err != nil {
+		for _, q := range queries {
+			if _, err := streamcount.Run(ctx, st, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -249,12 +268,8 @@ func BenchmarkSessionSequentialJobs(b *testing.B) {
 // generations, so a wave costs ~3 file replays like a pre-declared session,
 // without knowing the batch in advance.
 func BenchmarkEngineContinuousAdmission(b *testing.B) {
-	st, cfgs := sessionBenchWorkload(b)
-	queries := make([]streamcount.TypedQuery[*streamcount.CountResult], len(cfgs))
-	for i, cfg := range cfgs {
-		queries[i] = streamcount.CountQuery(cfg.Pattern,
-			streamcount.WithTrials(cfg.Trials), streamcount.WithSeed(cfg.Seed))
-	}
+	st, jobs := sessionBenchWorkload(b)
+	queries := countQueries(jobs)
 	e := streamcount.NewEngine(st, streamcount.WithAdmissionWindow(2*time.Millisecond))
 	defer e.Close()
 	ctx := context.Background()
@@ -278,22 +293,10 @@ func BenchmarkEngineContinuousAdmission(b *testing.B) {
 // same wave: a fresh one-shot session per wave, with the batch known up
 // front.
 func BenchmarkEngineSessionRunBackToBack(b *testing.B) {
-	st, cfgs := sessionBenchWorkload(b)
+	st, jobs := sessionBenchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := streamcount.NewSession(st)
-		handles := make([]*streamcount.JobHandle, len(cfgs))
-		for j, cfg := range cfgs {
-			handles[j] = s.Submit(streamcount.Job{Kind: streamcount.JobEstimate, Config: cfg})
-		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-		for _, h := range handles {
-			if _, err := h.Estimate(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		runSessionWave(b, st, jobs)
 	}
 }
 
@@ -385,7 +388,7 @@ func BenchmarkServerIngestAndQuery(b *testing.B) {
 			V int64 `json:"v"`
 		}
 		var ups []updateJSON
-		stream.FromGraph(g).ForEach(func(u stream.Update) error {
+		stream.Each(stream.FromGraph(g), func(u stream.Update) error {
 			ups = append(ups, updateJSON{U: u.Edge.U, V: u.Edge.V})
 			return nil
 		})
@@ -462,7 +465,7 @@ func BenchmarkServerCachedQuery(b *testing.B) {
 			V int64 `json:"v"`
 		}
 		var ups []updateJSON
-		stream.FromGraph(g).ForEach(func(u stream.Update) error {
+		stream.Each(stream.FromGraph(g), func(u stream.Update) error {
 			ups = append(ups, updateJSON{U: u.Edge.U, V: u.Edge.V})
 			return nil
 		})
@@ -547,8 +550,8 @@ func BenchmarkStreamPassThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPassPerUpdate is the legacy per-update replay path, kept
-// as the baseline the batched API is measured against.
+// BenchmarkStreamPassPerUpdate is the per-update replay path (stream.Each),
+// kept as the baseline the batched API is measured against.
 func BenchmarkStreamPassPerUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	g := gen.ErdosRenyiGNM(rng, 2000, 50000)
@@ -557,7 +560,7 @@ func BenchmarkStreamPassPerUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var cnt int64
-		if err := st.ForEach(func(stream.Update) error { cnt++; return nil }); err != nil {
+		if err := stream.Each(st, func(stream.Update) error { cnt++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -618,7 +621,7 @@ func BenchmarkClusterRoutedIngestAndQuery(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	g := gen.ErdosRenyiGNM(rng, 200, 3000)
 	var updates []streamcount.Update
-	stream.FromGraph(g).ForEach(func(u stream.Update) error {
+	stream.Each(stream.FromGraph(g), func(u stream.Update) error {
 		updates = append(updates, streamcount.Update{
 			Edge: streamcount.Edge{U: u.Edge.U, V: u.Edge.V},
 			Op:   streamcount.Insert,

@@ -109,33 +109,6 @@
 // generation, even after cancellations; see DESIGN.md §2–§3 for the
 // contract.
 //
-// # Migrating from the pre-query API
-//
-// The original entry points remain as thin deprecated wrappers over the
-// query API and behave exactly as before:
-//
-//	Estimate(st, Config{Pattern: p, Trials: n, Seed: s})
-//	  -> Run(ctx, st, CountQuery(p, WithTrials(n), WithSeed(s)))
-//	Sample(st, cfg)            -> Run(ctx, st, SampleQuery(p, ...))   (SampleResult)
-//	EstimateCliques(st, ccfg)  -> Run(ctx, st, CliqueQuery(r, WithLambda(λ), ...))
-//	EstimateAuto(st, cfg)      -> Run(ctx, st, AutoQuery(p, ...))
-//	Distinguish(st, cfg, l)    -> Run(ctx, st, DistinguishQuery(p, l, ...)) (DistinguishResult)
-//	NewSession + Submit + Run  -> NewEngine + Do / Submit
-//
-// Differences in the new layer: every query kind defaults ε to 0.1 (the
-// legacy EstimateAuto path defaulted to 0.2), and the edge bound used to
-// derive trial budgets defaults to the stream length instead of being
-// required.
-//
-// Since the standing-query redesign, Do and DoOn take any Querier rather
-// than the concrete *Engine. Existing call sites compile unchanged (an
-// *Engine is a Querier); code that stored Do's target in a variable of its
-// own can widen the type to Querier and gain the remote client for free.
-// Polling loops over Submit migrate to Watch:
-//
-//	for { out, _ := e.Submit(ctx, q); ... }   ->  sub, _ := streamcount.Watch(ctx, e, "", q)
-//	                                              for ev := range sub.Events() { ... }
-//
 // See the examples/ directory for runnable programs and DESIGN.md for the
 // architecture and the paper-faithfulness notes.
 package streamcount

@@ -183,7 +183,7 @@ func (e *Engine) submit(ctx context.Context, name string, q Query) (*core.JobHan
 	if _, ok := e.eng.Lookup(name); !ok {
 		return nil, fmt.Errorf("streamcount: Submit on %q: %w", name, ErrUnknownStream)
 	}
-	j, err := q.job(core.EdgeBoundStreamLen)
+	j, err := q.job()
 	if err != nil {
 		return nil, err
 	}

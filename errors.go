@@ -7,10 +7,10 @@ import (
 	"streamcount/internal/stream"
 )
 
-// Typed sentinel errors. Every error returned by Run, Engine.Submit / Do
-// and the legacy wrappers wraps exactly one of these; dispatch with
-// errors.Is. Cancellation errors additionally wrap the underlying
-// context.Canceled / context.DeadlineExceeded, so both checks work.
+// Typed sentinel errors. Every error returned by Run and Engine.Submit / Do
+// wraps exactly one of these; dispatch with errors.Is. Cancellation errors
+// additionally wrap the underlying context.Canceled /
+// context.DeadlineExceeded, so both checks work.
 var (
 	// ErrBadPattern reports a missing or unusable target pattern H.
 	ErrBadPattern = core.ErrBadPattern
@@ -22,9 +22,6 @@ var (
 	// ErrCanceled reports a query abandoned by context cancellation or
 	// timeout.
 	ErrCanceled = core.ErrCanceled
-	// ErrSessionDone reports a Submit or Run against a Session whose
-	// single-shot Run already started.
-	ErrSessionDone = core.ErrSessionDone
 	// ErrEngineClosed reports a Submit against a closed Engine.
 	ErrEngineClosed = core.ErrEngineClosed
 	// ErrUnknownStream reports a Submit naming an unregistered stream.

@@ -71,8 +71,10 @@ func main() {
 	g := streamcount.BarabasiAlbert(rng, 300, 12)
 	var edges [][2]int64
 	st := streamcount.StreamFromGraph(g)
-	st.ForEach(func(u streamcount.Update) error {
-		edges = append(edges, [2]int64{u.Edge.U, u.Edge.V})
+	st.ForEachBatch(func(batch []streamcount.Update) error {
+		for _, u := range batch {
+			edges = append(edges, [2]int64{u.Edge.U, u.Edge.V})
+		}
 		return nil
 	})
 	fmt.Printf("ingesting %d edges from 2 clients while 3 queries run...\n\n", len(edges))

@@ -38,7 +38,7 @@ func Doulion(st stream.Stream, p *pattern.Pattern, keep float64, seed uint64) (*
 	// overflow at keep = 1.
 	const two64 = 18446744073709551616.0
 	g := graph.New(st.N())
-	err := st.ForEach(func(u stream.Update) error {
+	err := stream.Each(st, func(u stream.Update) error {
 		e := u.Edge.Canon()
 		key := uint64(e.U)*uint64(st.N()) + uint64(e.V)
 		if float64(sketch.Hash64(seed, key)) >= keep*two64 {
@@ -94,7 +94,7 @@ func Triest(st stream.Stream, reservoir int, rng *rand.Rand) (*Result, error) {
 	}
 	var estimate float64
 	var t int64
-	err := st.ForEach(func(u stream.Update) error {
+	err := stream.Each(st, func(u stream.Update) error {
 		if u.Op != stream.Insert {
 			return fmt.Errorf("baseline: deletion in insertion-only stream")
 		}

@@ -40,7 +40,7 @@ func assertEventMatchesStandalone(t *testing.T, app *stream.Appendable, j Job, e
 		t.Fatal(err)
 	}
 	j.Config.Seed = WatchSeedAt(j.Config.Seed, ev.Version)
-	ref, err := EstimateSubgraphs(view, j.Config)
+	ref, err := estimate(view, j.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,21 @@
-// Package core is the library's high-level entry point: it wires a pattern,
-// a stream, and an accuracy budget to the paper's algorithms.
+// Package core runs the paper's algorithms over replayable streams and
+// serves them as jobs:
 //
-//   - EstimateSubgraphs runs the 3-pass FGP counting algorithm — Theorem 17
-//     on insertion-only streams, Theorem 1 on turnstile streams (the runner
-//     is selected from the stream's contents).
-//   - EstimateCliques runs the 5r-pass ERS clique counter for low-degeneracy
-//     graphs (Theorem 2) on insertion-only streams.
-//   - SampleSubgraph draws a uniformly random copy of H (Lemma 16/18).
+//   - JobEstimate is the 3-pass FGP counting algorithm — Theorem 17 on
+//     insertion-only streams, Theorem 1 on turnstile streams (the runner is
+//     selected from the stream's contents).
+//   - JobSample draws a uniformly random copy of H (Lemma 16/18).
+//   - JobAuto is the geometric lower-bound search (cf. Lemma 21) and
+//     JobDistinguish the decision variant (§1.1).
+//   - JobCliques is the 5r-pass ERS clique counter for low-degeneracy graphs
+//     (Theorem 2) on insertion-only streams.
 //
-// All of them are single-job sessions: a Session binds any number of jobs
-// to one stream and coalesces the rounds they are concurrently waiting on
-// into shared passes, so K jobs cost max-rounds passes instead of the sum
-// (DESIGN.md §2.5). The one-shot functions below submit one job and run it.
-//
-// All functions report passes, queries and emulation space so experiments
-// can verify the paper's complexity claims.
+// A Session binds jobs to one stream and coalesces the rounds they are
+// concurrently waiting on into shared passes, so K jobs cost max-rounds
+// passes instead of the sum (DESIGN.md §2.5). The Engine drives one Session
+// per admission generation over a pinned stream version, and RunJob runs a
+// single job as a one-job session. Every result reports passes, queries and
+// emulation space so experiments can verify the paper's complexity claims.
 package core
 
 import (
@@ -22,27 +23,21 @@ import (
 	"fmt"
 	"math"
 
-	"streamcount/internal/ers"
 	"streamcount/internal/graph"
 	"streamcount/internal/pattern"
 	"streamcount/internal/stream"
 )
 
-// Config configures EstimateSubgraphs and SampleSubgraph.
+// Config configures the FGP-family jobs (JobEstimate, JobSample, JobAuto,
+// JobDistinguish).
 type Config struct {
 	// Pattern is the target subgraph H.
 	Pattern *pattern.Pattern
 	// Trials is the number of parallel sampler instances. If zero it is
 	// derived from Epsilon, LowerBound and EdgeBound via TrialsFor.
 	Trials int
-	// Epsilon is the target relative error, used when Trials is zero.
-	//
-	// Beware the legacy defaults: trial derivation and Distinguish fall back
-	// to 0.1 when Epsilon is unset, but the legacy EstimateSubgraphsAuto path
-	// falls back to 0.2. (The old docs claimed "default 0.1" across the
-	// board.) The query options layer (facade WithEpsilon) resolves an unset
-	// epsilon to 0.1 uniformly before the Config reaches this package, so new
-	// API callers never hit the mismatch.
+	// Epsilon is the target relative error, used when Trials is zero and as
+	// JobDistinguish's margin (default 0.1).
 	Epsilon float64
 	// LowerBound is a lower bound L on #H (the paper's parameterization);
 	// used only when Trials is zero.
@@ -73,10 +68,7 @@ type Config struct {
 // version, not from whatever length the stream had at submission time.
 const EdgeBoundStreamLen int64 = -1
 
-// CountResult is the outcome of a counting run. (It was exported from the
-// facade as the confusingly named Result alias before the query API; the
-// facade now exports it as CountResult and keeps Result as a deprecated
-// alias.)
+// CountResult is the outcome of a counting run.
 type CountResult struct {
 	// Value is the estimate of #H (or #K_r).
 	Value float64
@@ -145,69 +137,13 @@ func RunJob(ctx context.Context, st stream.Stream, j Job) (*JobHandle, error) {
 	return h, nil
 }
 
-// runOne is RunJob without cancellation (the legacy entry points).
-func runOne(st stream.Stream, j Job) (*JobHandle, error) {
-	return RunJob(context.Background(), st, j)
-}
-
-// EstimateSubgraphs estimates #H in the stream with the 3-pass FGP counting
-// algorithm. Insertion-only streams use the augmented-model emulation
-// (Theorem 9 + Theorem 17); turnstile streams use the relaxed-model
-// emulation with ℓ0-samplers (Theorem 11 + Theorem 1).
-func EstimateSubgraphs(st stream.Stream, cfg Config) (*CountResult, error) {
-	h, err := runOne(st, Job{Kind: JobEstimate, Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return h.res.Est, nil
-}
-
 // SampledCopy is a uniformly sampled copy of H.
 type SampledCopy struct {
 	Edges    []graph.Edge
 	Vertices []int64
 }
 
-// SampleSubgraph draws one uniformly random copy of H from the stream in 3
-// passes (Lemma 16 insertion-only / Lemma 18 turnstile). ok is false when no
-// trial witnessed a copy; callers wanting success probability ~1 should set
-// Trials ≈ 10·(2m)^ρ(H)/#H (Algorithm 10).
-func SampleSubgraph(st stream.Stream, cfg Config) (SampledCopy, bool, error) {
-	h, err := runOne(st, Job{Kind: JobSample, Config: cfg})
-	if err != nil {
-		return SampledCopy{}, false, err
-	}
-	return h.res.Copy, h.res.Found, nil
-}
-
-// EstimateSubgraphsAuto is EstimateSubgraphs without a known lower bound on
-// #H: it performs a geometric search over guesses L (the paper's standard
-// remedy, cf. Lemma 21), running the 3-pass counter with the trial budget
-// for each guess until the estimate validates the guess. Each guess costs 3
-// passes and the reported pass/query/space accounting is cumulative over
-// all guesses made.
-func EstimateSubgraphsAuto(st stream.Stream, cfg Config) (*CountResult, error) {
-	h, err := runOne(st, Job{Kind: JobAuto, Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return h.res.Est, nil
-}
-
-// Distinguish solves the paper's decision phrasing of the problem (§1.1):
-// report whether #H is at least (1+eps)·l (true) or at most l (false), with
-// the estimate as evidence. The 3-pass counter is run at the trial budget
-// for lower bound l, and the midpoint (1+eps/2)·l is the decision
-// threshold, so both cases are separated by eps/2-accuracy estimates.
-func Distinguish(st stream.Stream, cfg Config, l float64) (bool, *CountResult, error) {
-	h, err := runOne(st, Job{Kind: JobDistinguish, Config: cfg, Threshold: l})
-	if err != nil {
-		return false, nil, err
-	}
-	return h.res.Above, h.res.Est, nil
-}
-
-// CliqueConfig configures EstimateCliques.
+// CliqueConfig configures JobCliques.
 type CliqueConfig struct {
 	// R is the clique size r >= 3.
 	R int
@@ -217,22 +153,10 @@ type CliqueConfig struct {
 	Epsilon float64
 	// LowerBound is a lower bound on #K_r.
 	LowerBound float64
-	// Params exposes the remaining ERS knobs; zero values take defaults.
-	Params ers.Params
 	// Seed seeds the run's randomness.
 	Seed int64
 	// Parallelism bounds the pass engine's worker goroutines (see
 	// Config.Parallelism). The ERS chain itself is sequential; its passes
 	// are served by the sharded runner.
 	Parallelism int
-}
-
-// EstimateCliques estimates #K_r on a low-degeneracy insertion-only stream
-// with the 5r-pass ERS algorithm (Theorem 2).
-func EstimateCliques(st stream.Stream, cfg CliqueConfig) (*CountResult, error) {
-	h, err := runOne(st, Job{Kind: JobCliques, Clique: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return h.res.Est, nil
 }

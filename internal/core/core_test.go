@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,23 @@ import (
 	"streamcount/internal/stream"
 )
 
+// runJob runs j standalone through RunJob and returns its result — the
+// one-shot reference that session- and engine-served jobs must match bit
+// for bit.
+func runJob(st stream.Stream, j Job) JobResult {
+	h, err := RunJob(context.Background(), st, j)
+	if err != nil {
+		return JobResult{Err: err}
+	}
+	return h.Result()
+}
+
+// estimate is runJob for a JobEstimate over cfg.
+func estimate(st stream.Stream, cfg Config) (*CountResult, error) {
+	r := runJob(st, Job{Kind: JobEstimate, Config: cfg})
+	return r.Est, r.Err
+}
+
 func TestEstimateSubgraphsInsertion(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := gen.ErdosRenyiGNM(rng, 40, 250)
@@ -18,7 +36,7 @@ func TestEstimateSubgraphsInsertion(t *testing.T) {
 	if want < 10 {
 		t.Skipf("few triangles: %d", want)
 	}
-	est, err := EstimateSubgraphs(stream.FromGraph(g), Config{
+	est, err := estimate(stream.FromGraph(g), Config{
 		Pattern: pattern.Triangle(),
 		Trials:  30000,
 		Seed:    2,
@@ -51,7 +69,7 @@ func TestEstimateSubgraphsTurnstileSelectsRelaxedModel(t *testing.T) {
 	if ts.InsertOnly() {
 		t.Fatal("precondition: turnstile stream")
 	}
-	est, err := EstimateSubgraphs(ts, Config{
+	est, err := estimate(ts, Config{
 		Pattern: pattern.Triangle(),
 		Trials:  20000,
 		Seed:    4,
@@ -69,14 +87,14 @@ func TestEstimateSubgraphsTurnstileSelectsRelaxedModel(t *testing.T) {
 
 func TestEstimateSubgraphsConfigValidation(t *testing.T) {
 	st, _ := stream.NewSlice(3, nil)
-	if _, err := EstimateSubgraphs(st, Config{}); err == nil {
+	if _, err := estimate(st, Config{}); err == nil {
 		t.Error("nil pattern should error")
 	}
-	if _, err := EstimateSubgraphs(st, Config{Pattern: pattern.Triangle()}); err == nil {
+	if _, err := estimate(st, Config{Pattern: pattern.Triangle()}); err == nil {
 		t.Error("no trials derivation should error")
 	}
 	// Derivation path works when all inputs are present.
-	if _, err := EstimateSubgraphs(st, Config{
+	if _, err := estimate(st, Config{
 		Pattern: pattern.Triangle(), Epsilon: 0.5, LowerBound: 1, EdgeBound: 10,
 	}); err != nil {
 		t.Errorf("derived-trials config rejected: %v", err)
@@ -122,13 +140,13 @@ func TestSampleSubgraph(t *testing.T) {
 	g := gen.Complete(6)
 	found := false
 	for seed := int64(0); seed < 10 && !found; seed++ {
-		cp, ok, err := SampleSubgraph(stream.FromGraph(g), Config{
+		r := runJob(stream.FromGraph(g), Job{Kind: JobSample, Config: Config{
 			Pattern: pattern.Triangle(), Trials: 200, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
+		}})
+		if r.Err != nil {
+			t.Fatal(r.Err)
 		}
-		if ok {
+		if cp := r.Copy; r.Found {
 			found = true
 			if len(cp.Edges) != 3 || len(cp.Vertices) != 3 {
 				t.Errorf("copy: %d edges, %d vertices", len(cp.Edges), len(cp.Vertices))
@@ -145,8 +163,8 @@ func TestEstimateCliquesRejectsTurnstile(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := gen.Cycle(10)
 	ts := stream.WithDeletions(g, 0.5, rng)
-	_, err := EstimateCliques(ts, CliqueConfig{R: 3, Lambda: 2, Epsilon: 0.4, LowerBound: 1})
-	if err == nil {
+	r := runJob(ts, Job{Kind: JobCliques, Clique: CliqueConfig{R: 3, Lambda: 2, Epsilon: 0.4, LowerBound: 1}})
+	if r.Err == nil {
 		t.Error("turnstile stream should be rejected (Theorem 2 is insertion-only)")
 	}
 }
@@ -158,12 +176,13 @@ func TestEstimateCliquesEndToEnd(t *testing.T) {
 	if want < 20 {
 		t.Skipf("few triangles: %d", want)
 	}
-	est, err := EstimateCliques(stream.FromGraph(g), CliqueConfig{
+	r := runJob(stream.FromGraph(g), Job{Kind: JobCliques, Clique: CliqueConfig{
 		R: 3, Lambda: 3, Epsilon: 0.4, LowerBound: float64(want) / 2, Seed: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
+	}})
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
+	est := r.Est
 	if est.Passes > 15 {
 		t.Errorf("passes=%d > 5r=15", est.Passes)
 	}

@@ -21,30 +21,30 @@ func TestDistinguishSeparates(t *testing.T) {
 	cfg := Config{Pattern: pattern.Triangle(), Trials: 40000, Epsilon: 0.4, Seed: 42}
 
 	// Threshold far below the truth: must answer "at least (1+eps)l".
-	above, est, err := Distinguish(st, cfg, want/4)
-	if err != nil {
-		t.Fatal(err)
+	r := runJob(st, Job{Kind: JobDistinguish, Config: cfg, Threshold: want / 4})
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if !above {
-		t.Errorf("l=%0.f (truth %.0f): want above=true, estimate %.1f", want/4, want, est.Value)
+	if !r.Above {
+		t.Errorf("l=%0.f (truth %.0f): want above=true, estimate %.1f", want/4, want, r.Est.Value)
 	}
 	// Threshold far above the truth: must answer "at most l".
-	above, est, err = Distinguish(st, cfg, want*4)
-	if err != nil {
-		t.Fatal(err)
+	r = runJob(st, Job{Kind: JobDistinguish, Config: cfg, Threshold: want * 4})
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if above {
-		t.Errorf("l=%0.f (truth %.0f): want above=false, estimate %.1f", want*4, want, est.Value)
+	if r.Above {
+		t.Errorf("l=%0.f (truth %.0f): want above=false, estimate %.1f", want*4, want, r.Est.Value)
 	}
 }
 
 func TestDistinguishValidation(t *testing.T) {
 	st, _ := stream.NewSlice(3, nil)
 	cfg := Config{Pattern: pattern.Triangle(), Trials: 10}
-	if _, _, err := Distinguish(st, cfg, 0); err == nil {
+	if r := runJob(st, Job{Kind: JobDistinguish, Config: cfg}); r.Err == nil {
 		t.Error("l=0 should be rejected")
 	}
-	if _, _, err := Distinguish(st, Config{Pattern: pattern.Triangle()}, 5); err == nil {
+	if r := runJob(st, Job{Kind: JobDistinguish, Config: Config{Pattern: pattern.Triangle()}, Threshold: 5}); r.Err == nil {
 		t.Error("missing trials/edge bound should be rejected")
 	}
 }
@@ -57,16 +57,17 @@ func TestEstimateSubgraphsAuto(t *testing.T) {
 		t.Skipf("few triangles: %.0f", want)
 	}
 	st := stream.FromGraph(g)
-	est, err := EstimateSubgraphsAuto(st, Config{
+	r := runJob(st, Job{Kind: JobAuto, Config: Config{
 		Pattern:   pattern.Triangle(),
 		Epsilon:   0.4,
 		EdgeBound: g.M(),
 		MaxTrials: 200000,
 		Seed:      44,
-	})
-	if err != nil {
-		t.Fatal(err)
+	}})
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
+	est := r.Est
 	if est.Value < want/3 || est.Value > want*3 {
 		t.Errorf("auto estimate %.1f vs truth %.0f", est.Value, want)
 	}
@@ -96,7 +97,7 @@ func TestEstimateAutoCumulativePasses(t *testing.T) {
 	}
 	cnt := stream.NewCounter(sl)
 	s := NewSession(cnt)
-	h := s.SubmitAuto(cfg)
+	h := s.Submit(Job{Kind: JobAuto, Config: cfg})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +116,19 @@ func TestEstimateAutoCumulativePasses(t *testing.T) {
 	if est.Passes < 6 {
 		t.Errorf("passes=%d: cumulative accounting should cover all guesses (>= 6)", est.Passes)
 	}
-	// And the whole thing must match the plain entry point bit-for-bit.
-	plain, err := EstimateSubgraphsAuto(sl, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// And the whole thing must match the one-shot entry point bit-for-bit.
+	plain := runJob(sl, Job{Kind: JobAuto, Config: cfg})
+	if plain.Err != nil {
+		t.Fatal(plain.Err)
 	}
-	if *plain != *est {
-		t.Errorf("EstimateSubgraphsAuto %+v != session auto job %+v", *plain, *est)
+	if *plain.Est != *est {
+		t.Errorf("RunJob auto %+v != session auto job %+v", *plain.Est, *est)
 	}
 }
 
 func TestEstimateSubgraphsAutoNeedsEdgeBound(t *testing.T) {
 	st, _ := stream.NewSlice(3, nil)
-	if _, err := EstimateSubgraphsAuto(st, Config{Pattern: pattern.Triangle()}); err == nil {
+	if r := runJob(st, Job{Kind: JobAuto, Config: Config{Pattern: pattern.Triangle()}}); r.Err == nil {
 		t.Error("missing EdgeBound should be rejected")
 	}
 }

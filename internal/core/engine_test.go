@@ -30,12 +30,6 @@ func (g *gatedStream) ForEachBatch(fn func([]stream.Update) error) error {
 	return g.Stream.ForEachBatch(fn)
 }
 
-func (g *gatedStream) ForEach(fn func(stream.Update) error) error {
-	g.Started <- struct{}{}
-	<-g.Gate
-	return g.Stream.ForEach(fn)
-}
-
 // release lets n passes through the gate.
 func (g *gatedStream) release(n int) {
 	for i := 0; i < n; i++ {
@@ -55,7 +49,7 @@ func engineTestJob(seed int64) Job {
 // get the bit-identical standalone answer back.
 func TestEngineServesAndMatchesStandalone(t *testing.T) {
 	sl := sessionWorkload(t)
-	want, err := EstimateSubgraphs(sl, engineTestJob(3).Config)
+	want, err := estimate(sl, engineTestJob(3).Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +127,7 @@ func TestEngineGroupsArrivalsIntoGenerations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EstimateSubgraphs(sl, h.Job().Config)
+		want, err := estimate(sl, h.Job().Config)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,11 +204,11 @@ func TestEngineNamedStreams(t *testing.T) {
 		t.Errorf("duplicate register error = %v, want ErrBadConfig", err)
 	}
 
-	wantIns, err := EstimateSubgraphs(sl, engineTestJob(5).Config)
+	wantIns, err := estimate(sl, engineTestJob(5).Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTs, err := EstimateSubgraphs(ts, engineTestJob(5).Config)
+	wantTs, err := estimate(ts, engineTestJob(5).Config)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,13 +137,9 @@ func (x *executor) runSample(h *JobHandle, cfg Config) (SampledCopy, bool, error
 // runCliques is the 5r-pass ERS clique counting job (Theorem 2).
 func (x *executor) runCliques(h *JobHandle, cfg CliqueConfig) (*CountResult, error) {
 	if !x.insertOnly {
-		return nil, fmt.Errorf("core: EstimateCliques requires an insertion-only stream (Theorem 2): %w", ErrBadConfig)
+		return nil, fmt.Errorf("core: clique counting requires an insertion-only stream (Theorem 2): %w", ErrBadConfig)
 	}
-	p := cfg.Params
-	p.R = cfg.R
-	p.Lambda = cfg.Lambda
-	p.Eps = cfg.Epsilon
-	p.L = cfg.LowerBound
+	p := ers.Params{R: cfg.R, Lambda: cfg.Lambda, Eps: cfg.Epsilon, L: cfg.LowerBound}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	r, err := x.newRunner(h, rng, cfg.Parallelism)
 	if err != nil {
@@ -170,16 +166,13 @@ func (x *executor) runCliques(h *JobHandle, cfg CliqueConfig) (*CountResult, err
 // runAuto is the geometric search over lower-bound guesses (cf. Lemma 21):
 // the 3-pass counter runs at the trial budget for each guess until the
 // estimate validates the guess. Every guess re-seeds from cfg.Seed (so each
-// guess is the exact run a standalone EstimateSubgraphs at that lower bound
-// would produce), and pass/query/space accounting is cumulative across
+// guess is the exact run a standalone JobEstimate at that lower bound would
+// produce), and pass/query/space accounting is cumulative across
 // guesses — the handle's round count ticks once per served round, so Passes
 // reports the total the search consumed, not the final guess's share.
 func (x *executor) runAuto(h *JobHandle, cfg Config) (*CountResult, error) {
 	if cfg.Pattern == nil {
 		return nil, fmt.Errorf("core: Pattern must be set: %w", ErrBadPattern)
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.2
 	}
 	if cfg.EdgeBound <= 0 {
 		return nil, fmt.Errorf("core: EdgeBound must be set for the geometric search: %w", ErrBadConfig)

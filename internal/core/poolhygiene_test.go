@@ -49,7 +49,7 @@ func poolHygieneFingerprint(t *testing.T) (fp []uint64, labels []string) {
 	}
 	for run := 0; run < 2; run++ {
 		for _, sc := range scenarios {
-			est, err := EstimateSubgraphs(sc.st, Config{
+			est, err := estimate(sc.st, Config{
 				Pattern:     sc.p,
 				Trials:      sc.tr,
 				Seed:        9,
@@ -65,15 +65,16 @@ func poolHygieneFingerprint(t *testing.T) (fp []uint64, labels []string) {
 			add(pre+"queries", uint64(est.Queries))
 			add(pre+"space", uint64(est.SpaceWords))
 		}
-		cp, ok, err := SampleSubgraph(ins, Config{
+		r := runJob(ins, Job{Kind: JobSample, Config: Config{
 			Pattern:     pattern.Triangle(),
 			Trials:      400,
 			Seed:        13,
 			Parallelism: 2,
-		})
-		if err != nil {
-			t.Fatalf("run %d sample: %v", run, err)
+		}})
+		if r.Err != nil {
+			t.Fatalf("run %d sample: %v", run, r.Err)
 		}
+		cp, ok := r.Copy, r.Found
 		pre := fmt.Sprintf("run%d/sample/", run)
 		if !ok {
 			add(pre+"found", 0)

@@ -202,7 +202,7 @@ func TestEnginePriorityOrdersBarrierBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := EstimateSubgraphs(sl, h.Job().Config)
+		want, err := estimate(sl, h.Job().Config)
 		if err != nil {
 			t.Fatal(err)
 		}

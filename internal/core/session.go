@@ -17,9 +17,11 @@ import (
 // one pass per adaptivity round *across all jobs*, so K concurrent jobs over
 // one stream cost max-rounds passes instead of the sum.
 //
-// Usage: NewSession, any number of Submit calls, one Run call, then read
-// each handle's result. Sessions are single-shot; jobs may not be submitted
-// once Run has started.
+// Usage: the Engine builds one Session per admission generation over the
+// generation's pinned stream version — it submits the batch's jobs with
+// SubmitContext, runs the session once, and hands each handle back to its
+// caller — and RunJob does the same for a single job. Sessions are
+// single-shot; jobs may not be submitted once Run has started.
 //
 // Scheduling is a round barrier: each job runs its unmodified round-adaptive
 // algorithm against a proxy runner whose Round blocks until every live job
@@ -55,15 +57,15 @@ type Session struct {
 type JobKind int
 
 const (
-	// JobEstimate runs the 3-pass FGP counter (EstimateSubgraphs).
+	// JobEstimate runs the 3-pass FGP counter (Theorem 17 / Theorem 1).
 	JobEstimate JobKind = iota
-	// JobSample draws one uniform copy of H (SampleSubgraph).
+	// JobSample draws one uniform copy of H (Lemma 16/18).
 	JobSample
-	// JobCliques runs the 5r-pass ERS clique counter (EstimateCliques).
+	// JobCliques runs the 5r-pass ERS clique counter (Theorem 2).
 	JobCliques
-	// JobAuto runs the geometric search (EstimateSubgraphsAuto).
+	// JobAuto runs the geometric lower-bound search (cf. Lemma 21).
 	JobAuto
-	// JobDistinguish runs the decision variant (Distinguish).
+	// JobDistinguish runs the decision variant (§1.1).
 	JobDistinguish
 )
 
@@ -193,31 +195,6 @@ func (s *Session) SubmitContext(ctx context.Context, j Job) *JobHandle {
 	}
 	s.jobs = append(s.jobs, h)
 	return h
-}
-
-// SubmitEstimate submits an EstimateSubgraphs job.
-func (s *Session) SubmitEstimate(cfg Config) *JobHandle {
-	return s.Submit(Job{Kind: JobEstimate, Config: cfg})
-}
-
-// SubmitSample submits a SampleSubgraph job.
-func (s *Session) SubmitSample(cfg Config) *JobHandle {
-	return s.Submit(Job{Kind: JobSample, Config: cfg})
-}
-
-// SubmitCliques submits an EstimateCliques job.
-func (s *Session) SubmitCliques(cfg CliqueConfig) *JobHandle {
-	return s.Submit(Job{Kind: JobCliques, Clique: cfg})
-}
-
-// SubmitAuto submits an EstimateSubgraphsAuto job.
-func (s *Session) SubmitAuto(cfg Config) *JobHandle {
-	return s.Submit(Job{Kind: JobAuto, Config: cfg})
-}
-
-// SubmitDistinguish submits a Distinguish job with threshold l.
-func (s *Session) SubmitDistinguish(cfg Config, l float64) *JobHandle {
-	return s.Submit(Job{Kind: JobDistinguish, Config: cfg, Threshold: l})
 }
 
 // roundReq is one job's request for its next query round.

@@ -40,36 +40,38 @@ func TestSessionBitIdenticalToStandalone(t *testing.T) {
 
 	// Standalone references (each of these is itself a single-job session,
 	// so this also pins the pre-session behavior preserved by the rewrite).
-	wantEst, err := EstimateSubgraphs(sl, estCfg)
+	wantEst, err := estimate(sl, estCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC5, err := EstimateSubgraphs(sl, c5Cfg)
+	wantC5, err := estimate(sl, c5Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCopy, wantFound, err := SampleSubgraph(sl, smpCfg)
-	if err != nil {
-		t.Fatal(err)
+	smpJob := Job{Kind: JobSample, Config: smpCfg}
+	clqJob := Job{Kind: JobCliques, Clique: clqCfg}
+	disJob := Job{Kind: JobDistinguish, Config: disCfg, Threshold: 10}
+	wantSmp := runJob(sl, smpJob)
+	wantClqRes := runJob(sl, clqJob)
+	wantDisRes := runJob(sl, disJob)
+	for _, r := range []JobResult{wantSmp, wantClqRes, wantDisRes} {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
 	}
-	wantClq, err := EstimateCliques(sl, clqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAbove, wantDis, err := Distinguish(sl, disCfg, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantCopy, wantFound := wantSmp.Copy, wantSmp.Found
+	wantClq := wantClqRes.Est
+	wantAbove, wantDis := wantDisRes.Above, wantDisRes.Est
 
 	// The same five jobs, one session, one stream: the external Counter
 	// observes the true shared I/O.
 	cnt := stream.NewCounter(sl)
 	s := NewSession(cnt)
-	hEst := s.SubmitEstimate(estCfg)
-	hC5 := s.SubmitEstimate(c5Cfg)
-	hSmp := s.SubmitSample(smpCfg)
-	hClq := s.SubmitCliques(clqCfg)
-	hDis := s.SubmitDistinguish(disCfg, 10)
+	hEst := s.Submit(Job{Kind: JobEstimate, Config: estCfg})
+	hC5 := s.Submit(Job{Kind: JobEstimate, Config: c5Cfg})
+	hSmp := s.Submit(smpJob)
+	hClq := s.Submit(clqJob)
+	hDis := s.Submit(disJob)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestSessionSharedPassCountExact(t *testing.T) {
 	const k = 5
 	handles := make([]*JobHandle, k)
 	for i := range handles {
-		handles[i] = s.SubmitEstimate(Config{Pattern: pattern.Triangle(), Trials: 2000, Seed: int64(i)})
+		handles[i] = s.Submit(Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle(), Trials: 2000, Seed: int64(i)}})
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -165,15 +167,15 @@ func TestSessionTurnstile(t *testing.T) {
 		t.Fatal("precondition: turnstile stream")
 	}
 	cfg := Config{Pattern: pattern.Triangle(), Trials: 1500, Seed: 3}
-	want, err := EstimateSubgraphs(ts, cfg)
+	want, err := estimate(ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cnt := stream.NewCounter(ts)
 	s := NewSession(cnt)
-	h1 := s.SubmitEstimate(cfg)
-	h2 := s.SubmitEstimate(Config{Pattern: pattern.Triangle(), Trials: 1000, Seed: 4})
+	h1 := s.Submit(Job{Kind: JobEstimate, Config: cfg})
+	h2 := s.Submit(Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle(), Trials: 1000, Seed: 4}})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestSessionTurnstile(t *testing.T) {
 	// Cliques on a turnstile session must fail (Theorem 2 is insertion-only)
 	// without disturbing anything else.
 	s2 := NewSession(ts)
-	hc := s2.SubmitCliques(CliqueConfig{R: 3, Lambda: 4, Epsilon: 0.4, LowerBound: 1})
+	hc := s2.Submit(Job{Kind: JobCliques, Clique: CliqueConfig{R: 3, Lambda: 4, Epsilon: 0.4, LowerBound: 1}})
 	if err := s2.Run(); err == nil || hc.res.Err == nil {
 		t.Error("cliques job on turnstile stream should error")
 	}
@@ -200,13 +202,13 @@ func TestSessionTurnstile(t *testing.T) {
 func TestSessionJobErrorIsIsolated(t *testing.T) {
 	sl := sessionWorkload(t)
 	cfg := Config{Pattern: pattern.Triangle(), Trials: 2000, Seed: 11}
-	want, err := EstimateSubgraphs(sl, cfg)
+	want, err := estimate(sl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSession(sl)
-	bad := s.SubmitEstimate(Config{}) // nil pattern
-	good := s.SubmitEstimate(cfg)
+	bad := s.Submit(Job{Kind: JobEstimate}) // nil pattern
+	good := s.Submit(Job{Kind: JobEstimate, Config: cfg})
 	if err := s.Run(); err == nil {
 		t.Error("Run should surface the failing job's error")
 	}
@@ -231,7 +233,7 @@ func TestSessionLifecycleGuards(t *testing.T) {
 	if err := s.Run(); err == nil {
 		t.Error("second Run should error")
 	}
-	h := s.SubmitEstimate(Config{Pattern: pattern.Triangle(), Trials: 10, Seed: 1})
+	h := s.Submit(Job{Kind: JobEstimate, Config: Config{Pattern: pattern.Triangle(), Trials: 10, Seed: 1}})
 	if h.res.Err == nil {
 		t.Error("Submit after Run should carry an error")
 	}

@@ -108,7 +108,7 @@ func TestWatchEveryVersionBitIdentical(t *testing.T) {
 			}
 			j := watchRefJob()
 			j.Config.Seed = WatchSeedAt(j.Config.Seed, wantV)
-			ref, err := EstimateSubgraphs(view, j.Config)
+			ref, err := estimate(view, j.Config)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestWatchLatestCoalesces(t *testing.T) {
 		}
 		j := watchRefJob()
 		j.Config.Seed = WatchSeedAt(j.Config.Seed, ev.Version)
-		ref, err := EstimateSubgraphs(view, j.Config)
+		ref, err := estimate(view, j.Config)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -416,7 +416,7 @@ func E05PatternSweep(seed int64) (*Table, error) {
 				trials = 1000
 			}
 		}
-		handles[i] = sess.SubmitEstimate(core.Config{Pattern: p, Trials: trials, Seed: seed + int64(i)})
+		handles[i] = sess.Submit(core.Job{Kind: core.JobEstimate, Config: core.Config{Pattern: p, Trials: trials, Seed: seed + int64(i)}})
 	}
 	if err := sess.Run(); err != nil {
 		return nil, err
@@ -598,7 +598,7 @@ func E08PassCounts(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sess.SubmitEstimate(core.Config{Pattern: pp, Trials: 2000, Seed: seed + int64(i)})
+		sess.Submit(core.Job{Kind: core.JobEstimate, Config: core.Config{Pattern: pp, Trials: 2000, Seed: seed + int64(i)}})
 	}
 	if err := sess.Run(); err != nil {
 		return nil, err

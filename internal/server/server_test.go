@@ -114,6 +114,7 @@ func TestHandlerErrors(t *testing.T) {
 		{"unknown kind", "POST", "/v1/queries", `{"kind":"levitate","pattern":"triangle"}`, http.StatusBadRequest},
 		{"unknown stream", "POST", "/v1/queries", `{"stream":"nope","pattern":"triangle","trials":10}`, http.StatusNotFound},
 		{"underivable budget", "POST", "/v1/queries", `{"pattern":"triangle","lower_bound":0}`, http.StatusBadRequest},
+		{"negative edge bound", "POST", "/v1/queries", `{"pattern":"triangle","lower_bound":5,"edge_bound":-1}`, http.StatusBadRequest},
 		{"bad cliques r", "POST", "/v1/queries", `{"kind":"cliques","r":2,"lambda":3,"lower_bound":5}`, http.StatusBadRequest},
 		{"bad threshold", "POST", "/v1/queries", `{"kind":"distinguish","pattern":"triangle","trials":10}`, http.StatusBadRequest},
 		{"create bad name", "POST", "/v1/streams", `{"name":"a/b","n":10}`, http.StatusBadRequest},

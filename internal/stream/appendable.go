@@ -441,11 +441,6 @@ func (a *Appendable) Close() error {
 	return first
 }
 
-// ForEach implements Stream, pinning the version current at the call.
-func (a *Appendable) ForEach(fn func(Update) error) error {
-	return a.Snapshot().ForEach(fn)
-}
-
 // ForEachBatch implements Stream, pinning the version current at the call.
 func (a *Appendable) ForEachBatch(fn func([]Update) error) error {
 	return a.Snapshot().ForEachBatch(fn)
@@ -825,18 +820,6 @@ func (v *View) Version() int64 { return v.version }
 
 // InsertOnly implements Stream for the pinned prefix.
 func (v *View) InsertOnly() bool { return v.insertOnly }
-
-// ForEach implements Stream as a thin wrapper over ForEachBatch.
-func (v *View) ForEach(fn func(Update) error) error {
-	return v.ForEachBatch(func(batch []Update) error {
-		for _, u := range batch {
-			if err := fn(u); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
 
 // ForEachBatch implements Stream as the full-length suffix replay.
 func (v *View) ForEachBatch(fn func([]Update) error) error {

@@ -253,7 +253,7 @@ func TestAppendableConcurrentAppendAndReplay(t *testing.T) {
 			for k := 0; k < 50; k++ {
 				v := a.Snapshot()
 				var got []Update
-				if err := v.ForEach(func(u Update) error {
+				if err := Each(v, func(u Update) error {
 					got = append(got, u)
 					return nil
 				}); err != nil {
@@ -286,7 +286,7 @@ func TestAppendableAsStreamPinsPerPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := a.ForEach(func(Update) error { count++; return nil }); err != nil {
+	if err := Each(a, func(Update) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {

@@ -46,18 +46,6 @@ func (f *File) Len() int64 { return f.length }
 // InsertOnly implements Stream.
 func (f *File) InsertOnly() bool { return f.inserts }
 
-// ForEach implements Stream as a thin wrapper over ForEachBatch.
-func (f *File) ForEach(fn func(Update) error) error {
-	return f.ForEachBatch(func(batch []Update) error {
-		for _, u := range batch {
-			if err := fn(u); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // ForEachBatch implements Stream: each call re-reads the file (one pass),
 // parsing updates into a reusable buffer flushed every DefaultBatchSize
 // updates. The batch slice is invalidated by the next callback.
@@ -208,7 +196,7 @@ func WriteFile(path string, s Stream) error {
 	if _, err := fmt.Fprintf(w, "%d\n", s.N()); err != nil {
 		return err
 	}
-	err = s.ForEach(func(u Update) error {
+	err = Each(s, func(u Update) error {
 		_, werr := fmt.Fprintf(w, "%s %d %d\n", u.Op, u.Edge.U, u.Edge.V)
 		return werr
 	})

@@ -30,7 +30,7 @@ func TestFileStreamRoundTrip(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		i := 0
 		orig := ts.Updates()
-		err := fs.ForEach(func(u Update) error {
+		err := Each(fs, func(u Update) error {
 			if u != orig[i] {
 				t.Fatalf("pass %d update %d: %v != %v", pass, i, u, orig[i])
 			}

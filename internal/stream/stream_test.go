@@ -145,7 +145,7 @@ func TestCounterCountsPasses(t *testing.T) {
 	g := gen.Cycle(4)
 	c := NewCounter(FromGraph(g))
 	for i := 0; i < 3; i++ {
-		if err := c.ForEach(func(Update) error { return nil }); err != nil {
+		if err := Each(c, func(Update) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestForEachEarlyStop(t *testing.T) {
 	g := gen.Cycle(10)
 	s := FromGraph(g)
 	seen := 0
-	errStop := s.ForEach(func(Update) error {
+	errStop := Each(s, func(Update) error {
 		seen++
 		if seen == 3 {
 			return errSentinel

@@ -11,7 +11,7 @@ import (
 	"streamcount"
 )
 
-// estimateAt runs Estimate on st with the given trial budget and
+// estimateAt runs a CountQuery on st with the given trial budget and
 // parallelism at a fixed seed. (Turnstile runs use a smaller budget: each
 // RandomEdge query materializes an ℓ0-sampler, so trials dominate memory
 // and time there.)
@@ -105,13 +105,15 @@ func TestSampleDeterministicAcrossParallelism(t *testing.T) {
 	}
 	st := streamcount.StreamFromGraph(g)
 	run := func(parallelism int) (streamcount.SampledCopy, bool) {
-		cp, ok, err := streamcount.Sample(st, streamcount.Config{
-			Pattern: p, Trials: 2000, Seed: 9, Parallelism: parallelism,
-		})
+		sr, err := streamcount.Run(context.Background(), st, streamcount.SampleQuery(p,
+			streamcount.WithTrials(2000),
+			streamcount.WithSeed(9),
+			streamcount.WithParallelism(parallelism),
+		))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cp, ok
+		return sr.Copy, sr.Found
 	}
 	base, okBase := run(1)
 	for _, par := range []int{2, 8} {
@@ -154,7 +156,7 @@ func TestShuffledStreamFileBacked(t *testing.T) {
 		t.Errorf("shuffled stream: len=%d n=%d, want 4, 4", sh.Len(), sh.N())
 	}
 	seen := 0
-	if err := sh.ForEach(func(streamcount.Update) error { seen++; return nil }); err != nil {
+	if err := sh.ForEachBatch(func(batch []streamcount.Update) error { seen += len(batch); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 4 {

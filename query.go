@@ -45,10 +45,8 @@ type Query interface {
 	// Kind names the query's algorithm ("count", "sample", "cliques",
 	// "auto", "distinguish") for error tables and logs.
 	Kind() string
-	// job lowers the query to a core job. defaultEdgeBound is the stream
-	// length, used when the query derives its trial budget and no explicit
-	// WithEdgeBound was given.
-	job(defaultEdgeBound int64) (core.Job, error)
+	// job validates the query and lowers it to a core job.
+	job() (core.Job, error)
 	// outcome converts a served job handle to the untyped Outcome.
 	outcome(h *core.JobHandle) Outcome
 }
@@ -97,11 +95,6 @@ type queryOpts struct {
 	seed        int64
 	parallelism int
 	lambda      int64
-
-	// legacy marks a query built from a legacy Config by the deprecated
-	// wrappers: no ε default, no stream-length edge-bound default, so the
-	// wrappers behave exactly as the pre-query API did.
-	legacy bool
 }
 
 // QueryOption configures a query constructor. Options are evaluated in
@@ -109,9 +102,8 @@ type queryOpts struct {
 type QueryOption func(*queryOpts)
 
 // WithEpsilon sets the target relative error ε (default 0.1 for every query
-// kind — unlike the legacy Config path, where the Auto search defaulted to
-// 0.2). It matters when the trial budget is derived, i.e. when WithTrials is
-// not given.
+// kind). It matters when the trial budget is derived, i.e. when WithTrials
+// is not given.
 func WithEpsilon(eps float64) QueryOption { return func(o *queryOpts) { o.epsilon = eps } }
 
 // WithTrials fixes the number of parallel sampler instances directly,
@@ -127,8 +119,10 @@ func WithMaxTrials(n int) QueryOption { return func(o *queryOpts) { o.maxTrials 
 func WithLowerBound(l float64) QueryOption { return func(o *queryOpts) { o.lowerBound = l } }
 
 // WithEdgeBound sets the upper bound on the stream's edge count used to
-// derive the trial budget. Default: the stream's length at submission time,
-// which is always a valid bound.
+// derive the trial budget. Default: the length of the stream the query runs
+// over, resolved when the job starts — for an Engine query, the version its
+// admission generation pinned — which is always a valid bound. A negative
+// bound fails the query with ErrBadConfig.
 func WithEdgeBound(m int64) QueryOption { return func(o *queryOpts) { o.edgeBound = m } }
 
 // WithSeed seeds the query's randomness. Queries with the same seed and
@@ -157,15 +151,32 @@ func resolve(opts []QueryOption) queryOpts {
 	return o
 }
 
-// config lowers the shared knobs to a core.Config for pattern p.
-// defaultEdgeBound is normally core.EdgeBoundStreamLen — "the length of the
-// stream the job ends up replaying", resolved at job start so that a query
-// over a live appendable stream derives its trial budget from its
-// generation's pinned version, not from the length at submission time.
-func (o queryOpts) config(p *Pattern, defaultEdgeBound int64) core.Config {
+// checkEdgeBound rejects a negative WithEdgeBound. Zero means unset and
+// every real bound is positive, so a negative value is a caller error —
+// never a way to name core.EdgeBoundStreamLen from outside.
+func (o queryOpts) checkEdgeBound(ctor string) error {
+	if o.edgeBound < 0 {
+		return fmt.Errorf("streamcount: %s: edge bound %d is negative: %w", ctor, o.edgeBound, ErrBadConfig)
+	}
+	return nil
+}
+
+// config validates the knobs the pattern queries share and lowers them to a
+// core.Config for p; ctor names the query constructor in errors. A derived
+// trial budget without WithEdgeBound gets core.EdgeBoundStreamLen — "the
+// length of the stream the job ends up replaying", resolved at job start so
+// that a query over a live appendable stream derives its trial budget from
+// its generation's pinned version, not from the length at submission time.
+func (o queryOpts) config(ctor string, p *Pattern) (core.Config, error) {
+	if p == nil {
+		return core.Config{}, fmt.Errorf("streamcount: %s: nil pattern: %w", ctor, ErrBadPattern)
+	}
+	if err := o.checkEdgeBound(ctor); err != nil {
+		return core.Config{}, err
+	}
 	eb := o.edgeBound
-	if eb == 0 && o.trials == 0 && !o.legacy {
-		eb = defaultEdgeBound
+	if eb == 0 && o.trials == 0 {
+		eb = core.EdgeBoundStreamLen
 	}
 	return core.Config{
 		Pattern:     p,
@@ -176,7 +187,7 @@ func (o queryOpts) config(p *Pattern, defaultEdgeBound int64) core.Config {
 		MaxTrials:   o.maxTrials,
 		Seed:        o.seed,
 		Parallelism: o.parallelism,
-	}
+	}, nil
 }
 
 // countResultOf reads the counting outcome off a served handle.
@@ -207,11 +218,12 @@ func CountQuery(p *Pattern, opts ...QueryOption) TypedQuery[*CountResult] {
 }
 
 func (q countQuery) Kind() string { return "count" }
-func (q countQuery) job(eb int64) (core.Job, error) {
-	if q.p == nil {
-		return core.Job{}, fmt.Errorf("streamcount: CountQuery: nil pattern: %w", ErrBadPattern)
+func (q countQuery) job() (core.Job, error) {
+	cfg, err := q.o.config("CountQuery", q.p)
+	if err != nil {
+		return core.Job{}, err
 	}
-	return core.Job{Kind: core.JobEstimate, Config: q.o.config(q.p, eb)}, nil
+	return core.Job{Kind: core.JobEstimate, Config: cfg}, nil
 }
 func (q countQuery) result(h *core.JobHandle) *CountResult { return countResultOf(h) }
 func (q countQuery) outcome(h *core.JobHandle) Outcome {
@@ -235,11 +247,12 @@ func SampleQuery(p *Pattern, opts ...QueryOption) TypedQuery[*SampleResult] {
 }
 
 func (q sampleQuery) Kind() string { return "sample" }
-func (q sampleQuery) job(eb int64) (core.Job, error) {
-	if q.p == nil {
-		return core.Job{}, fmt.Errorf("streamcount: SampleQuery: nil pattern: %w", ErrBadPattern)
+func (q sampleQuery) job() (core.Job, error) {
+	cfg, err := q.o.config("SampleQuery", q.p)
+	if err != nil {
+		return core.Job{}, err
 	}
-	return core.Job{Kind: core.JobSample, Config: q.o.config(q.p, eb)}, nil
+	return core.Job{Kind: core.JobSample, Config: cfg}, nil
 }
 func (q sampleQuery) result(h *core.JobHandle) *SampleResult {
 	r := h.Result()
@@ -261,10 +274,6 @@ func (q sampleQuery) MarshalJSON() ([]byte, error) { return marshalWireQuery(q.K
 type cliqueQuery struct {
 	r int
 	o queryOpts
-
-	// legacyCfg carries a full legacy CliqueConfig (including the raw ERS
-	// Params escape hatch) for the deprecated EstimateCliques wrapper.
-	legacyCfg *CliqueConfig
 }
 
 // CliqueQuery builds the K_r counting query for low-degeneracy
@@ -276,10 +285,7 @@ func CliqueQuery(r int, opts ...QueryOption) TypedQuery[*CountResult] {
 }
 
 func (q cliqueQuery) Kind() string { return "cliques" }
-func (q cliqueQuery) job(int64) (core.Job, error) {
-	if q.legacyCfg != nil {
-		return core.Job{Kind: core.JobCliques, Clique: *q.legacyCfg}, nil
-	}
+func (q cliqueQuery) job() (core.Job, error) {
 	if q.r < 3 {
 		return core.Job{}, fmt.Errorf("streamcount: CliqueQuery: clique size %d < 3: %w", q.r, ErrBadConfig)
 	}
@@ -288,6 +294,9 @@ func (q cliqueQuery) job(int64) (core.Job, error) {
 	}
 	if q.o.lowerBound <= 0 {
 		return core.Job{}, fmt.Errorf("streamcount: CliqueQuery: WithLowerBound is required: %w", ErrBadConfig)
+	}
+	if err := q.o.checkEdgeBound("CliqueQuery"); err != nil {
+		return core.Job{}, err
 	}
 	return core.Job{Kind: core.JobCliques, Clique: core.CliqueConfig{
 		R:           q.r,
@@ -304,9 +313,6 @@ func (q cliqueQuery) outcome(h *core.JobHandle) Outcome {
 }
 func (q cliqueQuery) fromOutcome(o Outcome) (*CountResult, error) { return countFromOutcome(o) }
 func (q cliqueQuery) MarshalJSON() ([]byte, error) {
-	if q.legacyCfg != nil {
-		return nil, fmt.Errorf("streamcount: legacy clique config is not wire-encodable: %w", ErrBadConfig)
-	}
 	return marshalWireQuery(q.Kind(), nil, q.r, 0, q.o)
 }
 
@@ -320,25 +326,22 @@ type autoQuery struct {
 // AutoQuery builds the counting query for callers without a lower bound on
 // #H: a geometric search over guesses (cf. Lemma 21) at 3 passes per guess,
 // with cumulative pass/space accounting. ε defaults to 0.1 like every other
-// query (the legacy EstimateAuto defaulted to 0.2).
+// query.
 func AutoQuery(p *Pattern, opts ...QueryOption) TypedQuery[*CountResult] {
 	return autoQuery{p: p, o: resolve(opts)}
 }
 
 func (q autoQuery) Kind() string { return "auto" }
-func (q autoQuery) job(eb int64) (core.Job, error) {
-	if q.p == nil {
-		return core.Job{}, fmt.Errorf("streamcount: AutoQuery: nil pattern: %w", ErrBadPattern)
+func (q autoQuery) job() (core.Job, error) {
+	cfg, err := q.o.config("AutoQuery", q.p)
+	if err != nil {
+		return core.Job{}, err
 	}
-	cfg := q.o.config(q.p, eb)
 	// The geometric search starts from the AGM bound m^ρ, so it needs an
 	// edge bound even when the trial budget is fixed via WithTrials (where
 	// config skips the stream-length default).
-	if cfg.EdgeBound == 0 && !q.o.legacy {
-		cfg.EdgeBound = eb
-	}
-	if cfg.EdgeBound <= 0 && cfg.EdgeBound != core.EdgeBoundStreamLen {
-		return core.Job{}, fmt.Errorf("streamcount: AutoQuery: the geometric search needs an edge bound: %w", ErrBadConfig)
+	if cfg.EdgeBound == 0 {
+		cfg.EdgeBound = core.EdgeBoundStreamLen
 	}
 	return core.Job{Kind: core.JobAuto, Config: cfg}, nil
 }
@@ -365,14 +368,15 @@ func DistinguishQuery(p *Pattern, l float64, opts ...QueryOption) TypedQuery[*Di
 }
 
 func (q distinguishQuery) Kind() string { return "distinguish" }
-func (q distinguishQuery) job(eb int64) (core.Job, error) {
-	if q.p == nil {
-		return core.Job{}, fmt.Errorf("streamcount: DistinguishQuery: nil pattern: %w", ErrBadPattern)
+func (q distinguishQuery) job() (core.Job, error) {
+	cfg, err := q.o.config("DistinguishQuery", q.p)
+	if err != nil {
+		return core.Job{}, err
 	}
 	if q.l <= 0 {
 		return core.Job{}, fmt.Errorf("streamcount: DistinguishQuery: threshold %v must be positive: %w", q.l, ErrBadConfig)
 	}
-	return core.Job{Kind: core.JobDistinguish, Config: q.o.config(q.p, eb), Threshold: q.l}, nil
+	return core.Job{Kind: core.JobDistinguish, Config: cfg, Threshold: q.l}, nil
 }
 func (q distinguishQuery) result(h *core.JobHandle) *DistinguishResult {
 	r := h.Result()
@@ -396,8 +400,7 @@ func (q distinguishQuery) MarshalJSON() ([]byte, error) {
 // Every query value is a json.Marshaler through it, which is how the client
 // SDK sends the same immutable query values over the wire that the local
 // Engine executes in-process. Only catalog patterns are encodable — the
-// wire names patterns, it does not carry edge lists — and the legacy
-// deprecated wrappers are not (their defaulting predates the wire's).
+// wire names patterns, it does not carry edge lists.
 func marshalWireQuery(kind string, p *Pattern, r int, threshold float64, o queryOpts) ([]byte, error) {
 	w, err := wireQueryForm(kind, p, r, threshold, o)
 	if err != nil {
@@ -412,9 +415,6 @@ func marshalWireQuery(kind string, p *Pattern, r int, threshold float64, o query
 // query fingerprints identically whether it was submitted in-process or
 // decoded off the wire.
 func wireQueryForm(kind string, p *Pattern, r int, threshold float64, o queryOpts) (wire.Query, error) {
-	if o.legacy {
-		return wire.Query{}, fmt.Errorf("streamcount: legacy %s query is not wire-encodable: %w", kind, ErrBadConfig)
-	}
 	w := wire.Query{
 		Kind:        kind,
 		R:           r,
@@ -426,9 +426,7 @@ func wireQueryForm(kind string, p *Pattern, r int, threshold float64, o queryOpt
 		Seed:        o.seed,
 		Parallelism: o.parallelism,
 		Lambda:      o.lambda,
-	}
-	if o.edgeBound != 0 && o.edgeBound != core.EdgeBoundStreamLen {
-		w.EdgeBound = o.edgeBound
+		EdgeBound:   o.edgeBound,
 	}
 	if p != nil {
 		cat, err := PatternByName(p.Name())
@@ -443,9 +441,9 @@ func wireQueryForm(kind string, p *Pattern, r int, threshold float64, o queryOpt
 // fingerprintOf computes q's canonical result-cache fingerprint:
 // rcache.Fingerprint over the query's wire form (which excludes seed,
 // stream and parallelism — they are separate key components or
-// contract-irrelevant). Queries with no canonical wire form — legacy
-// wrappers, custom non-catalog patterns — return 0, the uncacheable
-// sentinel: they still execute, they just never memoize.
+// contract-irrelevant). Queries with no canonical wire form — custom
+// non-catalog patterns — return 0, the uncacheable sentinel: they still
+// execute, they just never memoize.
 func fingerprintOf(q Query) uint64 {
 	var w wire.Query
 	var err error
@@ -459,9 +457,6 @@ func fingerprintOf(q Query) uint64 {
 	case distinguishQuery:
 		w, err = wireQueryForm(t.Kind(), t.p, 0, t.l, t.o)
 	case cliqueQuery:
-		if t.legacyCfg != nil {
-			return 0
-		}
 		w, err = wireQueryForm(t.Kind(), nil, t.r, 0, t.o)
 	default:
 		return 0
@@ -499,7 +494,7 @@ func samePattern(a, b *Pattern) bool {
 // share replays instead of each paying its own passes.
 func Run[R any](ctx context.Context, st Stream, q TypedQuery[R]) (R, error) {
 	var zero R
-	j, err := q.job(core.EdgeBoundStreamLen)
+	j, err := q.job()
 	if err != nil {
 		return zero, err
 	}

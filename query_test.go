@@ -4,41 +4,18 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"streamcount"
 )
 
-//lint:file-ignore SA1019 the new-API tests pin the deprecated wrappers as references on purpose.
-
 func queryWorkload(t testing.TB) (*streamcount.Graph, streamcount.Stream) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	g := streamcount.ErdosRenyi(rng, 100, 900)
 	return g, streamcount.StreamFromGraph(g)
-}
-
-// TestRunCountQueryMatchesLegacyEstimate: the typed query path is the same
-// computation as the legacy wrapper — bit-identical at a fixed seed.
-func TestRunCountQueryMatchesLegacyEstimate(t *testing.T) {
-	_, st := queryWorkload(t)
-	p, err := streamcount.PatternByName("triangle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := streamcount.Estimate(st, streamcount.Config{Pattern: p, Trials: 5000, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := streamcount.Run(context.Background(), st,
-		streamcount.CountQuery(p, streamcount.WithTrials(5000), streamcount.WithSeed(21)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *want {
-		t.Errorf("CountQuery %+v != legacy Estimate %+v", *got, *want)
-	}
 }
 
 // TestCountQueryDefaultsEdgeBoundToStreamLength: deriving the trial budget
@@ -75,16 +52,10 @@ func TestCountQueryDefaultsEdgeBoundToStreamLength(t *testing.T) {
 	if *got != *explicit {
 		t.Errorf("default edge bound %+v != explicit stream length %+v", *got, *explicit)
 	}
-	// The legacy wrapper, by contrast, rejects the underivable config.
-	_, err = streamcount.Estimate(st, streamcount.Config{Pattern: p, Epsilon: 0.3, LowerBound: float64(want)})
-	if !errors.Is(err, streamcount.ErrBadConfig) {
-		t.Errorf("legacy underivable config error = %v, want ErrBadConfig", err)
-	}
 }
 
-// TestAutoQueryEpsilonDefaultFixed pins the satellite fix: AutoQuery
-// defaults ε to 0.1 (like everything else), while the legacy wrapper keeps
-// its historical 0.2 default.
+// TestAutoQueryEpsilonDefaultFixed pins AutoQuery's ε default to 0.1, the
+// same default as every other query kind.
 func TestAutoQueryEpsilonDefaultFixed(t *testing.T) {
 	_, st := queryWorkload(t)
 	p, _ := streamcount.PatternByName("triangle")
@@ -94,29 +65,13 @@ func TestAutoQueryEpsilonDefaultFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := streamcount.EstimateAuto(st, streamcount.Config{
-		Pattern: p, Epsilon: 0.1, EdgeBound: st.Len(), Seed: 4,
-	})
+	want, err := streamcount.Run(context.Background(), st,
+		streamcount.AutoQuery(p, streamcount.WithEpsilon(0.1), streamcount.WithSeed(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *got != *want {
-		t.Errorf("AutoQuery default ε: %+v != legacy at explicit ε=0.1 %+v", *got, *want)
-	}
-	legacyDefault, err := streamcount.EstimateAuto(st, streamcount.Config{
-		Pattern: p, EdgeBound: st.Len(), Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want02, err := streamcount.EstimateAuto(st, streamcount.Config{
-		Pattern: p, Epsilon: 0.2, EdgeBound: st.Len(), Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *legacyDefault != *want02 {
-		t.Errorf("legacy unset-ε auto %+v != legacy ε=0.2 %+v", *legacyDefault, *want02)
+		t.Errorf("AutoQuery default ε: %+v != explicit ε=0.1 %+v", *got, *want)
 	}
 
 	// The stream-length edge-bound default applies to Auto even when a trial
@@ -201,12 +156,43 @@ func TestRunTypedQueries(t *testing.T) {
 
 // TestQueryValidationErrors: constructor misuse surfaces typed sentinels.
 func TestQueryValidationErrors(t *testing.T) {
-	_, st := queryWorkload(t)
+	g, st := queryWorkload(t)
 	ctx := context.Background()
 	p, _ := streamcount.PatternByName("triangle")
 
 	if _, err := streamcount.Run(ctx, st, streamcount.CountQuery(nil)); !errors.Is(err, streamcount.ErrBadPattern) {
 		t.Errorf("nil pattern: %v, want ErrBadPattern", err)
+	}
+	if _, err := streamcount.Run(ctx, st, streamcount.CountQuery(p)); !errors.Is(err, streamcount.ErrBadConfig) {
+		t.Errorf("neither trials nor lower bound: %v, want ErrBadConfig", err)
+	}
+	// A negative edge bound is rejected by every query kind, whether or not
+	// the query derives its trial budget: -1 must not alias the internal
+	// "stream length" sentinel, and -2 must not be silently ignored.
+	e := streamcount.NewEngine(st)
+	defer e.Close()
+	for _, eb := range []int64{-1, -2} {
+		bad := streamcount.WithEdgeBound(eb)
+		for _, q := range []streamcount.Query{
+			streamcount.CountQuery(p, streamcount.WithLowerBound(10), bad),
+			streamcount.CountQuery(p, streamcount.WithTrials(10), bad),
+			streamcount.SampleQuery(p, streamcount.WithTrials(10), bad),
+			streamcount.AutoQuery(p, bad),
+			streamcount.DistinguishQuery(p, 10, bad),
+			streamcount.CliqueQuery(3, streamcount.WithLambda(3), streamcount.WithLowerBound(1), bad),
+		} {
+			if _, err := e.Submit(ctx, q); !errors.Is(err, streamcount.ErrBadConfig) {
+				t.Errorf("%s with edge bound %d: %v, want ErrBadConfig", q.Kind(), eb, err)
+			}
+		}
+	}
+	// Theorem 2's clique counter is insertion-only.
+	ts := streamcount.TurnstileFromGraph(g, 0.5, rand.New(rand.NewSource(3)))
+	lambda, _ := streamcount.Degeneracy(g)
+	_, err := streamcount.Run(ctx, ts, streamcount.CliqueQuery(3,
+		streamcount.WithLambda(lambda), streamcount.WithEpsilon(0.4), streamcount.WithLowerBound(1)))
+	if !errors.Is(err, streamcount.ErrBadConfig) || !strings.Contains(err.Error(), "insertion-only") {
+		t.Errorf("clique query on turnstile stream: %v, want insertion-only ErrBadConfig", err)
 	}
 	if _, err := streamcount.Run(ctx, st, streamcount.CliqueQuery(2, streamcount.WithLambda(3), streamcount.WithLowerBound(1))); !errors.Is(err, streamcount.ErrBadConfig) {
 		t.Errorf("r<3: %v, want ErrBadConfig", err)

@@ -1,20 +1,18 @@
-// The tests in this file exercise the DEPRECATED pre-query-API surface
-// (Estimate/Sample/..., Config, Session) on purpose: the wrappers are thin
-// shims over the query API and must keep behaving exactly as before so
-// downstream callers can migrate incrementally. New-API coverage lives in
-// query_test.go.
+// Facade smoke tests: the quickstart path, each estimator end to end through
+// the typed queries, and the package-level helpers. Query construction and
+// validation coverage lives in query_test.go.
 package streamcount_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"streamcount"
+	"streamcount/internal/core"
 )
-
-//lint:file-ignore SA1019 this file pins the deprecated legacy wrappers on purpose.
 
 func TestFacadeQuickstart(t *testing.T) {
 	p, err := streamcount.PatternByName("triangle")
@@ -27,11 +25,8 @@ func TestFacadeQuickstart(t *testing.T) {
 	if want == 0 {
 		t.Skip("no triangles in workload")
 	}
-	est, err := streamcount.Estimate(streamcount.StreamFromGraph(g), streamcount.Config{
-		Pattern: p,
-		Trials:  40000,
-		Seed:    7,
-	})
+	est, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(g),
+		streamcount.CountQuery(p, streamcount.WithTrials(40000), streamcount.WithSeed(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +47,12 @@ func TestFacadeDerivedTrials(t *testing.T) {
 		t.Skip("too few triangles")
 	}
 	st := streamcount.StreamFromGraph(g)
-	est, err := streamcount.Estimate(st, streamcount.Config{
-		Pattern:    p,
-		Epsilon:    0.3,
-		LowerBound: float64(want),
-		EdgeBound:  g.M(),
-		Seed:       3,
-	})
+	est, err := streamcount.Run(context.Background(), st, streamcount.CountQuery(p,
+		streamcount.WithEpsilon(0.3),
+		streamcount.WithLowerBound(float64(want)),
+		streamcount.WithEdgeBound(g.M()),
+		streamcount.WithSeed(3),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +64,16 @@ func TestFacadeDerivedTrials(t *testing.T) {
 	}
 }
 
+// TestFacadeConfigErrors checks that a count query with no pattern, or with
+// neither trials nor the inputs to derive them, is refused before any pass.
 func TestFacadeConfigErrors(t *testing.T) {
+	ctx := context.Background()
 	st, _ := streamcount.NewStream(3, nil)
-	if _, err := streamcount.Estimate(st, streamcount.Config{}); err == nil {
+	if _, err := streamcount.Run(ctx, st, streamcount.CountQuery(nil, streamcount.WithTrials(10))); err == nil {
 		t.Error("missing pattern should error")
 	}
 	p, _ := streamcount.PatternByName("triangle")
-	if _, err := streamcount.Estimate(st, streamcount.Config{Pattern: p}); err == nil {
+	if _, err := streamcount.Run(ctx, st, streamcount.CountQuery(p)); err == nil {
 		t.Error("missing trials derivation inputs should error")
 	}
 }
@@ -90,18 +87,17 @@ func TestFacadeSample(t *testing.T) {
 	}
 	found := false
 	for seed := int64(0); seed < 20 && !found; seed++ {
-		cp, ok, err := streamcount.Sample(streamcount.StreamFromGraph(g), streamcount.Config{
-			Pattern: p, Trials: 500, Seed: seed,
-		})
+		sr, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(g),
+			streamcount.SampleQuery(p, streamcount.WithTrials(500), streamcount.WithSeed(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
+		if sr.Found {
 			found = true
-			if len(cp.Edges) != 3 {
-				t.Errorf("sampled copy has %d edges", len(cp.Edges))
+			if len(sr.Copy.Edges) != 3 {
+				t.Errorf("sampled copy has %d edges", len(sr.Copy.Edges))
 			}
-			for _, e := range cp.Edges {
+			for _, e := range sr.Copy.Edges {
 				if !g.HasEdge(e.U, e.V) {
 					t.Errorf("edge %v not in graph", e)
 				}
@@ -122,13 +118,12 @@ func TestFacadeEstimateCliques(t *testing.T) {
 		t.Skipf("too few triangles: %d", want)
 	}
 	lambda, _ := streamcount.Degeneracy(g)
-	est, err := streamcount.EstimateCliques(streamcount.StreamFromGraph(g), streamcount.CliqueConfig{
-		R:          3,
-		Lambda:     lambda,
-		Epsilon:    0.4,
-		LowerBound: float64(want) / 2,
-		Seed:       6,
-	})
+	est, err := streamcount.Run(context.Background(), streamcount.StreamFromGraph(g), streamcount.CliqueQuery(3,
+		streamcount.WithLambda(lambda),
+		streamcount.WithEpsilon(0.4),
+		streamcount.WithLowerBound(float64(want)/2),
+		streamcount.WithSeed(6),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,38 +145,42 @@ func TestFacadeEstimateCliquesRejectsTurnstile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = streamcount.EstimateCliques(st, streamcount.CliqueConfig{R: 3, Lambda: 1, Epsilon: 0.4, LowerBound: 1})
+	_, err = streamcount.Run(context.Background(), st, streamcount.CliqueQuery(3,
+		streamcount.WithLambda(1), streamcount.WithEpsilon(0.4), streamcount.WithLowerBound(1)))
 	if err == nil || !strings.Contains(err.Error(), "insertion-only") {
 		t.Errorf("want insertion-only error, got %v", err)
 	}
 }
 
-// TestFacadeSession exercises the session API end to end: several patterns
-// served by one shared replay, each bit-identical to its standalone run.
+// TestFacadeSession pins the typed queries to the session layer beneath the
+// Engine: several patterns served by one shared replay of a core session,
+// each bit-identical to its standalone typed Run.
 func TestFacadeSession(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := streamcount.ErdosRenyi(rng, 80, 600)
 	st := streamcount.StreamFromGraph(g)
 
 	names := []string{"triangle", "C5", "paw"}
-	configs := make([]streamcount.Config, len(names))
-	standalone := make([]*streamcount.Result, len(names))
+	jobs := make([]core.Job, len(names))
+	standalone := make([]*streamcount.CountResult, len(names))
 	for i, name := range names {
 		p, err := streamcount.PatternByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		configs[i] = streamcount.Config{Pattern: p, Trials: 3000, Seed: int64(20 + i)}
-		standalone[i], err = streamcount.Estimate(st, configs[i])
+		seed := int64(20 + i)
+		jobs[i] = core.Job{Kind: core.JobEstimate, Config: core.Config{Pattern: p, Trials: 3000, Seed: seed}}
+		standalone[i], err = streamcount.Run(context.Background(), st,
+			streamcount.CountQuery(p, streamcount.WithTrials(3000), streamcount.WithSeed(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	s := streamcount.NewSession(st)
-	handles := make([]*streamcount.JobHandle, len(names))
-	for i := range configs {
-		handles[i] = s.Submit(streamcount.Job{Kind: streamcount.JobEstimate, Config: configs[i]})
+	s := core.NewSession(st)
+	handles := make([]*core.JobHandle, len(names))
+	for i, j := range jobs {
+		handles[i] = s.Submit(j)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
