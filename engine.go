@@ -109,16 +109,6 @@ type WatchCheckpointStats = core.WatchCheckpointStats
 // WatchCheckpointStats reports the checkpoint cache's aggregate counters.
 func (e *Engine) WatchCheckpointStats() WatchCheckpointStats { return e.eng.WatchCheckpointStats() }
 
-// SpillWatchCheckpoint flushes the named stream's resident watch-checkpoint
-// index to the WATCHIDX file in its segment directory without evicting it.
-// A cluster transfer calls this just before sealing the stream so the
-// shipped directory carries the warm index — the first watch event on the
-// new owner extends it by Δ instead of replaying the whole prefix. Streams
-// with no resident index or no durable directory are a successful no-op.
-func (e *Engine) SpillWatchCheckpoint(name string) error {
-	return e.eng.SpillWatchCheckpoint(name)
-}
-
 // NewEngine creates an engine over st and starts serving immediately.
 // Register more streams with RegisterStream; stop the engine with Close.
 func NewEngine(st Stream, opts ...EngineOption) *Engine {

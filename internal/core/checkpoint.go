@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -27,10 +26,12 @@ const DefaultWatchCheckpointBytes int64 = 64 << 20
 //
 // Residency is bounded: when the accounted bytes exceed the capacity, whole
 // lane entries are evicted least-recently-used; an evicted lane's next
-// event rebuilds the index from a full replay (counted as a miss). A lane
-// whose index alone exceeds the capacity is disabled — its watches fall
-// back to cold shared-replay evaluation permanently rather than rebuilding
-// an uncacheable index per event.
+// event rebuilds the index from a full replay (counted as a miss) — for a
+// durable lane, a replay of its own segments, which stay the only
+// persisted copy of the stream. A lane whose index alone exceeds the
+// capacity is disabled — its watches fall back to cold shared-replay
+// evaluation permanently rather than rebuilding an uncacheable index per
+// event.
 //
 // Lock order: cache.mu and entry.mu are never held together. Eviction
 // removes the map reference and the accounting under cache.mu only — an
@@ -45,11 +46,9 @@ type watchCheckpoints struct {
 	clock    int64 // LRU tick
 	disabled map[string]bool
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64
-	spills     atomic.Int64
-	spillLoads atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 }
 
 // checkpointEntry is one lane's resident checkpoint. mu is held across
@@ -58,11 +57,6 @@ type watchCheckpoints struct {
 type checkpointEntry struct {
 	mu sync.Mutex
 	ix *transform.PrefixIndex
-
-	// spill is where the entry's index is persisted on eviction (and read
-	// back on the next miss). Immutable after creation; the zero value
-	// disables spilling for the lane.
-	spill spillTarget
 
 	// Guarded by the cache's mu, not the entry's.
 	accounted int64
@@ -80,7 +74,7 @@ func newWatchCheckpoints(capacity int64) *watchCheckpoints {
 
 // acquire fetches or creates the lane's entry, unless the cache is off or
 // the lane has been disabled.
-func (c *watchCheckpoints) acquire(lane string, spill spillTarget) (*checkpointEntry, bool) {
+func (c *watchCheckpoints) acquire(lane string) (*checkpointEntry, bool) {
 	if c == nil || c.capacity <= 0 {
 		return nil, false
 	}
@@ -91,7 +85,7 @@ func (c *watchCheckpoints) acquire(lane string, spill spillTarget) (*checkpointE
 	}
 	ent, ok := c.entries[lane]
 	if !ok {
-		ent = &checkpointEntry{spill: spill}
+		ent = &checkpointEntry{}
 		c.entries[lane] = ent
 	}
 	c.clock++
@@ -102,10 +96,9 @@ func (c *watchCheckpoints) acquire(lane string, spill spillTarget) (*checkpointE
 // settle re-accounts an entry after an evaluation grew its index to
 // newBytes, then enforces the capacity bound.
 func (c *watchCheckpoints) settle(lane string, ent *checkpointEntry, newBytes int64) {
-	var spillouts []*checkpointEntry
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if ent.dropped {
-		c.mu.Unlock()
 		return // evicted while in use; its bytes are already unaccounted
 	}
 	c.bytes += newBytes - ent.accounted
@@ -115,11 +108,10 @@ func (c *watchCheckpoints) settle(lane string, ent *checkpointEntry, newBytes in
 	if ent.accounted > c.capacity {
 		// This lane's index alone exceeds the cache: caching it is pure
 		// churn, so the lane is disabled and its watches stay on the cold
-		// path. No spill either — it would be reloaded by nothing.
+		// path.
 		c.dropLocked(lane, ent)
 		c.disabled[lane] = true
 		c.evictions.Add(1)
-		c.mu.Unlock()
 		return
 	}
 	for c.bytes > c.capacity {
@@ -138,80 +130,7 @@ func (c *watchCheckpoints) settle(lane string, ent *checkpointEntry, newBytes in
 		}
 		c.dropLocked(victimLane, victim)
 		c.evictions.Add(1)
-		spillouts = append(spillouts, victim)
 	}
-	c.mu.Unlock()
-	// Spill outside the cache lock: the entry lock is taken only after the
-	// cache lock is released, preserving the never-held-together order.
-	for _, v := range spillouts {
-		c.spillEntry(v)
-	}
-}
-
-// spillEntry persists an evicted entry's index next to its lane's
-// segments, so the lane's next event warms from disk instead of a full
-// replay. Best-effort: a failed write costs exactly that rebuild.
-func (c *watchCheckpoints) spillEntry(ent *checkpointEntry) {
-	if !ent.spill.valid() {
-		return
-	}
-	ent.mu.Lock()
-	ix := ent.ix
-	ent.ix = nil
-	ent.mu.Unlock()
-	if ix == nil {
-		return
-	}
-	if err := ent.spill.write(ix); err == nil {
-		c.spills.Add(1)
-	}
-}
-
-// loadSpill reads the lane's spilled index on a cache miss. It returns nil
-// (build cold) if there is no spill, it is corrupt, or it contradicts the
-// live log — a universe mismatch or an extent beyond the log's version
-// means the directory no longer backs the log that wrote it, so the file
-// is removed before it can mislead again.
-func (c *watchCheckpoints) loadSpill(ent *checkpointEntry, n, logVersion int64) *transform.PrefixIndex {
-	if !ent.spill.valid() {
-		return nil
-	}
-	ix, err := ent.spill.read()
-	if err != nil || ix == nil {
-		return nil
-	}
-	if ix.N() != n || ix.Extent() > logVersion {
-		ent.spill.remove()
-		return nil
-	}
-	c.spillLoads.Add(1)
-	return ix
-}
-
-// spillLane flushes the named lane's resident index to its spill file
-// without evicting it: the transfer path's pre-seal flush, so the shipped
-// directory carries a warm index. A lane with no resident entry (or no
-// durable directory) is a successful no-op.
-func (c *watchCheckpoints) spillLane(lane string) error {
-	if c == nil || c.capacity <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	ent := c.entries[lane]
-	c.mu.Unlock()
-	if ent == nil || !ent.spill.valid() {
-		return nil
-	}
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	if ent.ix == nil {
-		return nil
-	}
-	if err := ent.spill.write(ent.ix); err != nil {
-		return err
-	}
-	c.spills.Add(1)
-	return nil
 }
 
 // drop removes a lane's entry (used when its index can no longer serve the
@@ -255,12 +174,6 @@ type WatchCheckpointStats struct {
 	Misses int64
 	// Evictions counts resident indexes dropped by the capacity bound.
 	Evictions int64
-	// Spills counts evicted (or deliberately flushed) indexes persisted to
-	// their stream's WATCHIDX file next to the segments, for warm rebuilds.
-	Spills int64
-	// SpillLoads counts misses warmed from a spilled index instead of a full
-	// replay.
-	SpillLoads int64
 	// ResidentBytes is the accounted size of all resident indexes.
 	ResidentBytes int64
 	// CapacityBytes is the configured bound; 0 when the cache is disabled.
@@ -278,8 +191,6 @@ func (c *watchCheckpoints) stats() WatchCheckpointStats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
-		Spills:        c.spills.Load(),
-		SpillLoads:    c.spillLoads.Load(),
 		ResidentBytes: resident,
 		CapacityBytes: c.capacity,
 	}
@@ -287,22 +198,6 @@ func (c *watchCheckpoints) stats() WatchCheckpointStats {
 
 // WatchCheckpointStats reports the engine's checkpoint-cache health.
 func (e *Engine) WatchCheckpointStats() WatchCheckpointStats { return e.ckpt.stats() }
-
-// SpillWatchCheckpoint flushes the named stream's resident checkpoint
-// index to its WATCHIDX spill file without evicting it. The transfer path
-// calls this just before sealing the stream so the shipped directory
-// carries the warm index and the first watch event on the new owner
-// extends it instead of replaying the whole prefix. A stream with no
-// resident index (or no durable directory) is a successful no-op.
-func (e *Engine) SpillWatchCheckpoint(name string) error {
-	e.mu.Lock()
-	l, ok := e.lanes[name]
-	e.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("core: SpillWatchCheckpoint(%q): %w", name, ErrUnknownStream)
-	}
-	return e.ckpt.spillLane(l.name)
-}
 
 // indexedSessionRunner adapts transform.IndexedRunner to the job executor
 // with the same cancellation and pass-accounting behavior sessionRunner
@@ -343,20 +238,20 @@ func (r *indexedSessionRunner) NumVertices() int64  { return r.inner.NumVertices
 // implies an error. When served, the returned handle is bit-identical to
 // what submitPinned would have produced for the same (job, version) — the
 // determinism contract is indifferent to which path evaluated the event.
-func (e *Engine) evaluateIndexed(wctx context.Context, l *lane, j Job, v int64, w *Watch) (*JobHandle, error, bool) {
+func (e *Engine) evaluateIndexed(wctx context.Context, l *lane, j Job, v int64, w *Watch) (h *JobHandle, served bool, err error) {
 	if l.app == nil || v <= 0 {
-		return nil, nil, false
+		return nil, false, nil
 	}
-	ent, ok := e.ckpt.acquire(l.name, l.spillTarget())
+	ent, ok := e.ckpt.acquire(l.name)
 	if !ok {
-		return nil, nil, false
+		return nil, false, nil
 	}
 	view, err := l.app.At(v)
 	if err != nil || !view.InsertOnly() {
 		// A deletion inside [0, v) makes the prefix un-indexable; any
 		// resident index only covers an insertion-only prefix, but new
 		// events on this lane must go cold from here on.
-		return nil, nil, false
+		return nil, false, nil
 	}
 
 	ent.mu.Lock()
@@ -364,14 +259,7 @@ func (e *Engine) evaluateIndexed(wctx context.Context, l *lane, j Job, v int64, 
 	if ix == nil {
 		e.ckpt.misses.Add(1)
 		w.ckptMisses.Add(1)
-		// An eviction (or a transfer from this stream's previous owner) may
-		// have left a spilled index next to the segments; warming from it
-		// turns the rebuild into an O(Δ) extension.
-		if sp := e.ckpt.loadSpill(ent, view.N(), l.app.Version()); sp != nil {
-			ix = sp
-		} else {
-			ix = transform.NewPrefixIndex(view.N())
-		}
+		ix = transform.NewPrefixIndex(view.N())
 	} else {
 		e.ckpt.hits.Add(1)
 		w.ckptHits.Add(1)
@@ -383,21 +271,18 @@ func (e *Engine) evaluateIndexed(wctx context.Context, l *lane, j Job, v int64, 
 			ent.ix = nil
 			ent.mu.Unlock()
 			e.ckpt.drop(l.name, ent)
-			return nil, nil, false
+			return nil, false, nil
 		}
 	}
 	ent.ix = ix
 	// Evaluate while still holding the entry: the index must not grow under
 	// a reader, and serializing a lane's fast-path evaluations mirrors how
 	// its generation loop serializes cold ones.
-	h := e.runIndexed(wctx, ix, j, v)
+	h = e.runIndexed(wctx, ix, j, v)
 	newBytes := ix.Bytes()
 	ent.mu.Unlock()
 	e.ckpt.settle(l.name, ent, newBytes)
-	if jerr := h.Result().Err; jerr != nil {
-		return h, jerr, true
-	}
-	return h, nil, true
+	return h, true, h.Result().Err
 }
 
 // runIndexed executes one pinned job over the index at version v, mirroring

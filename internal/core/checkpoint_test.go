@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -172,8 +176,21 @@ func indexBytesFor(t *testing.T, n int64, ups []stream.Update) int64 {
 // TestWatchCheckpointEviction bounds the cache below two lanes' combined
 // index size, alternates appends across both lanes, and asserts that LRU
 // eviction churns (evictions and repeat misses observed) while every
-// post-eviction event stays bit-identical to its standalone reference.
+// post-eviction event stays bit-identical to its standalone reference. The
+// durable variant keeps both lanes in segment directories: an evicted
+// durable lane rebuilds from its own segments exactly like a memory-only
+// one — a miss, never a cold replay.
 func TestWatchCheckpointEviction(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) { testWatchCheckpointEviction(t, durable) })
+	}
+}
+
+func testWatchCheckpointEviction(t *testing.T, durable bool) {
 	ups := watchWorkload(t)
 	full := indexBytesFor(t, 200, ups)
 	def, err := stream.NewAppendable(200, stream.AppendableOptions{})
@@ -188,7 +205,11 @@ func TestWatchCheckpointEviction(t *testing.T) {
 	apps := make(map[string]*stream.Appendable, len(lanes))
 	watches := make(map[string]*Watch, len(lanes))
 	for _, name := range lanes {
-		app, err := stream.NewAppendable(200, stream.AppendableOptions{})
+		var opts stream.AppendableOptions
+		if durable {
+			opts.Dir = t.TempDir()
+		}
+		app, err := stream.NewAppendable(200, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,6 +260,77 @@ func TestWatchCheckpointEviction(t *testing.T) {
 		if st.ColdReplays != 0 {
 			t.Errorf("lane %s cold replays = %d, want 0 (eviction falls back to rebuild, not cold)", name, st.ColdReplays)
 		}
+	}
+}
+
+// foreignIndexFile is the name — and the leading magic — of the
+// checkpoint-index file older releases wrote next to a stream's segments.
+// The engine neither reads nor writes it; the stream's segments are its
+// only persisted copy.
+const foreignIndexFile = "WATCHIDX"
+
+// foreignIndexBytes renders ups in that file's checksum-valid layout:
+// magic, uint32 format version 1, uint64 n, uint64 extent, one canonical
+// edge key per update, then a CRC32C over everything before it (all
+// little-endian).
+func foreignIndexBytes(n int64, ups []stream.Update) []byte {
+	buf := append([]byte(nil), foreignIndexFile...)
+	buf = binary.LittleEndian.AppendUint32(buf, 1)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ups)))
+	for _, u := range ups {
+		c := u.Edge.Canon()
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.U)*uint64(n)+uint64(c.V))
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestWatchCheckpointIgnoresForeignIndex plants an index file built from a
+// different log — same vertex universe, extent no larger than the stream's
+// version, valid checksum — in a durable stream's directory, as a reused
+// directory or an index of published-but-never-durable updates would leave
+// it. Every watch event must still come from the stream's own segments:
+// bit-identical to the standalone run at WatchSeedAt(seed, v), served by
+// the checkpoint path (one rebuild, then an extension), never a cold replay.
+func TestWatchCheckpointIgnoresForeignIndex(t *testing.T) {
+	ups := watchWorkload(t)
+	const n, m = 200, 300
+	dir := t.TempDir()
+	app, err := stream.NewAppendable(n, stream.AppendableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.Append(ups[:m]); err != nil {
+		t.Fatal(err)
+	}
+	foreign := foreignIndexBytes(n, ups[len(ups)-m:])
+	if err := os.WriteFile(filepath.Join(dir, foreignIndexFile), foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewEngine(app, EngineOptions{})
+	defer e.Close()
+	w, err := e.Watch(context.Background(), DefaultStream, watchRefJob(), WatchOptions{EveryVersion: true, Buffer: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ev := collectEvent(t, w)
+	if ev.Version != m {
+		t.Fatalf("initial event at version %d, want %d", ev.Version, m)
+	}
+	assertEventMatchesStandalone(t, app, watchRefJob(), ev)
+	v, err := e.Append(DefaultStream, ups[m:m+20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev = collectEvent(t, w)
+	if ev.Version != v {
+		t.Fatalf("event at version %d, want %d", ev.Version, v)
+	}
+	assertEventMatchesStandalone(t, app, watchRefJob(), ev)
+	if st := w.CheckpointStats(); st != (WatchEvalStats{CheckpointHits: 1, CheckpointMisses: 1}) {
+		t.Errorf("checkpoint stats %+v, want one rebuild then one hit", st)
 	}
 }
 

@@ -70,17 +70,19 @@ type Watch struct {
 	ckptCold   atomic.Int64
 }
 
-// WatchEvalStats reports how one watch's evaluations were served.
+// WatchEvalStats reports how one watch's evaluations were served by the
+// engine's checkpoint cache (DESIGN.md §10).
 type WatchEvalStats struct {
 	// CheckpointHits counts evaluations served incrementally from a resident
-	// checkpoint index — the O(Δ) fast path.
+	// index — the O(Δ) fast path.
 	CheckpointHits int64
-	// CheckpointMisses counts evaluations that rebuilt the lane's index from
-	// a full replay first (cold cache or post-eviction).
+	// CheckpointMisses counts evaluations that first rebuilt the stream's
+	// index from a full replay (cold cache or post-eviction; a durable
+	// stream replays its own segments).
 	CheckpointMisses int64
 	// ColdReplays counts evaluations that bypassed the cache entirely and
-	// ran as shared-replay generations (turnstile lanes, disabled lanes, or
-	// a disabled cache).
+	// ran as shared-replay generations (turnstile streams, streams whose
+	// index exceeds the cache, or a disabled cache).
 	ColdReplays int64
 }
 
@@ -336,7 +338,7 @@ func (e *Engine) watchLoop(wctx, callerCtx context.Context, l *lane, j Job, lw *
 			// (insertion-only lanes, cache enabled). The result is
 			// bit-identical to a cold pinned submission, so which path
 			// served an event is unobservable in the transcript.
-			h, err, served = e.evaluateIndexed(wctx, l, jj, v, w)
+			h, served, err = e.evaluateIndexed(wctx, l, jj, v, w)
 			if served && err == nil && e.rc != nil && jj.Fingerprint != 0 && h.res.Err == nil {
 				e.cachePut(cacheKey(l, jj, v), h)
 			}

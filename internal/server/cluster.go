@@ -217,9 +217,8 @@ func (s *Server) pushMapToPeers(m *cluster.Map) {
 //
 //  1. validate: clustered, owner of the stream, durable stream, target is
 //     a member, no transfer already in flight;
-//  2. flush the watch-checkpoint index to WATCHIDX (warm first watch on
-//     the new owner), then Seal the log — new appends fail retryable, and
-//     the directory is a complete byte image of the acknowledged log;
+//  2. Seal the log — new appends fail retryable, and the directory is a
+//     complete byte image of the acknowledged log;
 //  3. end the stream's standing watches with a retryable "transferring"
 //     terminal event (clients resume with after_version against whichever
 //     node owns the stream when they reconnect);
@@ -301,11 +300,6 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		delete(s.transferring, req.Stream)
 		s.mu.Unlock()
 	}()
-
-	// Warm handoff: flush the resident checkpoint index next to the
-	// segments so it ships with them. Best-effort — without it the new
-	// owner's first watch event replays cold, which is slower, not wrong.
-	_ = s.eng.SpillWatchCheckpoint(req.Stream)
 
 	if err := app.Seal(); err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("sealing stream %q: %w", req.Stream, err))

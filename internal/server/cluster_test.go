@@ -26,7 +26,6 @@ import (
 
 	"streamcount"
 	"streamcount/internal/cluster"
-	"streamcount/internal/core"
 	"streamcount/internal/stream"
 	"streamcount/internal/wire"
 )
@@ -369,7 +368,12 @@ func TestClusterTransferMovesStream(t *testing.T) {
 	}
 }
 
-func TestClusterTransferShipsWatchIndex(t *testing.T) {
+// TestClusterTransferRebuildsWatchIndex pins the new owner's side of a
+// transfer at the engine level: the shipped segments are the whole stream,
+// so a watch on the new owner builds its checkpoint index from them — one
+// miss, then O(Δ) hits, never a cold replay — and every event equals the
+// standalone run over the new owner's copy at WatchSeedAt(seed, v).
+func TestClusterTransferRebuildsWatchIndex(t *testing.T) {
 	nodes := newTestClusterNodes(t, 3, true)
 	const name = "mv"
 	owner, rest := ownerAndRest(t, nodes, name)
@@ -378,64 +382,65 @@ func TestClusterTransferShipsWatchIndex(t *testing.T) {
 	if code := do(t, owner.srv, "POST", "/v1/streams", fmt.Sprintf(`{"name":%q,"n":60}`, name), nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
-	// A standing query on the source builds the resident checkpoint index
-	// the transfer should flush and ship.
+	if code := do(t, owner.srv, "POST", "/v1/streams/"+name+"/edges", clusterEdges(60, 200, 7), nil); code != http.StatusOK {
+		t.Fatalf("append: status %d", code)
+	}
+	var tr wire.TransferResponse
+	if code := do(t, owner.srv, "POST", "/v1/cluster/transfer", transferBody(name, target.id), &tr); code != http.StatusOK {
+		t.Fatalf("transfer: status %d", code)
+	}
+
 	p, err := streamcount.PatternByName("triangle")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := owner.srv.eng.WatchQuery(context.Background(), name,
-		streamcount.CountQuery(p, streamcount.WithTrials(200), streamcount.WithSeed(7)),
+	const trials, seed = 200, 7
+	sub, err := target.srv.eng.WatchQuery(context.Background(), name,
+		streamcount.CountQuery(p, streamcount.WithTrials(trials), streamcount.WithSeed(seed)),
 		streamcount.WatchEveryVersion())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := do(t, owner.srv, "POST", "/v1/streams/"+name+"/edges", clusterEdges(60, 200, 7), nil); code != http.StatusOK {
-		t.Fatalf("append: status %d", code)
+	defer sub.Close()
+	st, ok := target.srv.eng.Lookup(name)
+	if !ok {
+		t.Fatal("new owner does not serve the shipped stream")
 	}
-	select {
-	case ev := <-sub.Events():
+	app := st.(*streamcount.AppendableStream)
+	expect := func(want int64) {
+		t.Helper()
+		var ev streamcount.WatchEvent[streamcount.Outcome]
+		select {
+		case ev = <-sub.Events():
+		case <-time.After(30 * time.Second):
+			t.Fatal("no watch event on new owner")
+		}
 		if ev.Err != nil {
 			t.Fatal(ev.Err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("no watch event")
+		if ev.StreamVersion != want {
+			t.Fatalf("event at version %d, want %d", ev.StreamVersion, want)
+		}
+		view, err := app.At(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := streamcount.Run(context.Background(), view, streamcount.CountQuery(p,
+			streamcount.WithTrials(trials), streamcount.WithSeed(streamcount.WatchSeedAt(seed, want))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *ev.Result.Count != *ref {
+			t.Errorf("event at version %d: %+v != standalone %+v", want, *ev.Result.Count, *ref)
+		}
 	}
-	sub.Close()
-
-	var tr wire.TransferResponse
-	if code := do(t, owner.srv, "POST", "/v1/cluster/transfer",
-		fmt.Sprintf(`{"stream":%q,"target":%q}`, name, target.id), &tr); code != http.StatusOK {
-		t.Fatalf("transfer: status %d", code)
-	}
-
-	// The spilled index traveled with the segments...
-	if _, err := os.Stat(filepath.Join(target.dir, name, core.WatchIndexFile)); err != nil {
-		t.Fatalf("shipped stream has no %s: %v", core.WatchIndexFile, err)
-	}
-	// ...and the new owner's first watch evaluation warms from it instead
-	// of replaying the stream cold.
-	sub2, err := target.srv.eng.WatchQuery(context.Background(), name,
-		streamcount.CountQuery(p, streamcount.WithTrials(200), streamcount.WithSeed(7)),
-		streamcount.WatchEveryVersion())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub2.Close()
+	expect(tr.StreamVersion)
 	if code := do(t, target.srv, "POST", "/v1/streams/"+name+"/edges", `{"updates":[{"u":0,"v":1}]}`, nil); code != http.StatusOK {
 		t.Fatalf("append on new owner: status %d", code)
 	}
-	select {
-	case ev := <-sub2.Events():
-		if ev.Err != nil {
-			t.Fatal(ev.Err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("no watch event on new owner")
-	}
-	stats := target.srv.eng.WatchCheckpointStats()
-	if stats.SpillLoads == 0 {
-		t.Errorf("new owner served the first watch without loading the shipped index: %+v", stats)
+	expect(tr.StreamVersion + 1)
+	if got := sub.CheckpointStats(); got != (streamcount.SubscriptionStats{CheckpointHits: 1, CheckpointMisses: 1}) {
+		t.Errorf("new owner's watch stats %+v, want one rebuild from the shipped segments then one hit", got)
 	}
 }
 

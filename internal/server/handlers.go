@@ -90,8 +90,6 @@ func (s *Server) registryStats() (wire.QueryStats, wire.WatchStats) {
 		Hits:          cs.Hits,
 		Misses:        cs.Misses,
 		Evictions:     cs.Evictions,
-		Spills:        cs.Spills,
-		SpillLoads:    cs.SpillLoads,
 		ResidentBytes: cs.ResidentBytes,
 		CapacityBytes: cs.CapacityBytes,
 	}

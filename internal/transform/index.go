@@ -52,9 +52,6 @@ func NewPrefixIndex(n int64) *PrefixIndex {
 // Extent returns the number of updates indexed so far.
 func (ix *PrefixIndex) Extent() int64 { return int64(len(ix.keys)) }
 
-// N returns the vertex-universe size the index was built over.
-func (ix *PrefixIndex) N() int64 { return ix.n }
-
 // Bytes approximates the index's resident size, for cache accounting:
 // 8 bytes per key-log entry, two 16-byte incidence entries per update plus
 // map overhead, and a first-seen map entry per distinct edge.

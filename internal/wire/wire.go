@@ -163,7 +163,9 @@ type CheckpointStats struct {
 	// Hits counts evaluations served incrementally from a resident index.
 	Hits int64 `json:"hits"`
 	// Misses counts evaluations that first rebuilt a stream's index from a
-	// full replay (cold cache or post-eviction).
+	// full replay (cold cache, post-eviction, or the first event after a
+	// transfer); a durable stream replays its own segments, the only
+	// persisted copy of its log.
 	Misses int64 `json:"misses"`
 	// Evictions counts resident indexes dropped by the capacity bound.
 	Evictions int64 `json:"evictions"`
@@ -171,12 +173,6 @@ type CheckpointStats struct {
 	ResidentBytes int64 `json:"resident_bytes"`
 	// CapacityBytes is the configured cache bound; 0 means disabled.
 	CapacityBytes int64 `json:"capacity_bytes"`
-	// Spills counts evicted indexes persisted to their stream's segment
-	// directory instead of being discarded outright.
-	Spills int64 `json:"spills,omitempty"`
-	// SpillLoads counts evaluations warmed from a spilled index file where a
-	// full replay would otherwise have rebuilt the index from scratch.
-	SpillLoads int64 `json:"spill_loads,omitempty"`
 }
 
 // ResultCacheStats is the cross-generation result cache's health snapshot:

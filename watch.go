@@ -141,18 +141,7 @@ type Subscription[R any] struct {
 
 // SubscriptionStats reports how a subscription's evaluations were served
 // by the engine's watch checkpoint cache (DESIGN.md §10).
-type SubscriptionStats struct {
-	// CheckpointHits counts evaluations served incrementally from a resident
-	// index — the O(Δ) fast path.
-	CheckpointHits int64
-	// CheckpointMisses counts evaluations that first rebuilt the stream's
-	// index from a full replay (cold cache or post-eviction).
-	CheckpointMisses int64
-	// ColdReplays counts evaluations that bypassed the cache entirely and
-	// ran as shared-replay generations (turnstile streams, streams whose
-	// index exceeds the cache, or a disabled cache).
-	ColdReplays int64
-}
+type SubscriptionStats = core.WatchEvalStats
 
 // CheckpointStats reports how this subscription's evaluations were served.
 // Subscriptions not backed by a local engine watch report zeros. Safe to
@@ -290,14 +279,7 @@ func (e *Engine) WatchQuery(ctx context.Context, stream string, q Query, opts ..
 			}
 		}
 	})
-	sub.stats = func() SubscriptionStats {
-		st := cw.CheckpointStats()
-		return SubscriptionStats{
-			CheckpointHits:   st.CheckpointHits,
-			CheckpointMisses: st.CheckpointMisses,
-			ColdReplays:      st.ColdReplays,
-		}
-	}
+	sub.stats = cw.CheckpointStats
 	return sub, nil
 }
 
